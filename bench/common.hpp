@@ -62,7 +62,7 @@ inline std::optional<util::CsvWriter> maybe_csv(
 inline double calibrated_step(const cost::CompositeCost& cost,
                               const markov::TransitionMatrix& start,
                               double movement) {
-  const auto chain = markov::analyze_chain(start);
+  const auto chain = markov::try_analyze_chain(start).value();
   const double g =
       linalg::frobenius_norm(cost::projected_cost_gradient(cost, chain));
   return g > 0.0 ? movement / g : movement;

@@ -31,7 +31,7 @@ markov::TransitionMatrix random_chain(std::size_t n, std::uint64_t seed) {
 void BM_AnalyzeChain(benchmark::State& state) {
   const auto p = random_chain(static_cast<std::size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(markov::analyze_chain(p));
+    benchmark::DoNotOptimize(markov::try_analyze_chain(p).value());
   }
 }
 BENCHMARK(BM_AnalyzeChain)->Arg(4)->Arg(9)->Arg(16)->Arg(25);
@@ -39,7 +39,7 @@ BENCHMARK(BM_AnalyzeChain)->Arg(4)->Arg(9)->Arg(16)->Arg(25);
 void BM_CostValue(benchmark::State& state) {
   const auto problem = bench::make_problem(4, 1.0, 1e-4);
   const auto cost = problem.make_cost();
-  const auto chain = markov::analyze_chain(random_chain(9, 2));
+  const auto chain = markov::try_analyze_chain(random_chain(9, 2)).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(cost.value(chain));
   }
@@ -49,7 +49,7 @@ BENCHMARK(BM_CostValue);
 void BM_GradientAssembly(benchmark::State& state) {
   const auto problem = bench::make_problem(4, 1.0, 1e-4);
   const auto cost = problem.make_cost();
-  const auto chain = markov::analyze_chain(random_chain(9, 3));
+  const auto chain = markov::try_analyze_chain(random_chain(9, 3)).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(cost::projected_cost_gradient(cost, chain));
   }

@@ -1,11 +1,12 @@
 // Load generator for the mocos_serve request loop: replays seeded request
 // mixes through the in-process serve() entry point and reports solves/min,
-// p50/p99 request latency, shed rate, and solver-cache hit rate. Three
-// scenarios:
+// p50/p99 request latency, shed rate, and the chain-solve memo's hit rate.
+// Three scenarios:
 //
 //   warm_lanes       same-topology requests multiplexed over a few cache-key
 //                    lanes with warm starts (the steady-state service shape)
-//   cold_topologies  every request a fresh topology on a cold cache
+//   cold_topologies  every request a fresh topology, no lane to warm-start
+//                    from
 //   overload_shed    a tiny admission queue under a burst, to measure the
 //                    load-shedding path
 //
@@ -38,7 +39,7 @@ struct ScenarioStats {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double shed_rate = 0.0;
-  double cache_hit_rate = 0.0;  // exact hits / all cache operations
+  double cache_hit_rate = 0.0;  // exact hits / (exact hits + full solves)
 };
 
 std::string request_line(const std::string& id, const std::string& config,
@@ -96,9 +97,7 @@ ScenarioStats run_scenario(const std::string& name,
     if (line.find("\"elapsed_ms\"") != std::string::npos)
       latencies.push_back(field(line, "elapsed_ms"));
     hits += field(line, "cache_exact_hits");
-    ops += field(line, "cache_exact_hits") +
-           field(line, "cache_full_solves") +
-           field(line, "cache_row_updates");
+    ops += field(line, "cache_exact_hits") + field(line, "cache_full_solves");
   }
   stats.p50_ms = percentile(latencies, 0.50);
   stats.p99_ms = percentile(latencies, 0.99);

@@ -22,7 +22,7 @@
 #include "src/descent/initializers.hpp"
 #include "src/geometry/city_topology.hpp"
 #include "src/markov/fundamental.hpp"
-#include "src/markov/sparse_mode.hpp"
+#include "src/markov/solve_policy.hpp"
 #include "src/partition/block_solver.hpp"
 
 namespace mocos::bench {
@@ -79,13 +79,12 @@ SizePoint run_size(std::size_t m, bool run_dense) {
 
   if (!run_dense) return pt;
 
-  // Dense reference, sparse routing forced off so try_analyze_chain really
+  // Dense reference, pinned to the dense route so try_analyze_chain really
   // runs the O(M³) factorization.
-  markov::force_sparse_mode(markov::SparseMode::kOff);
   const auto t2 = std::chrono::steady_clock::now();
-  const auto dense_result = markov::try_analyze_chain(p);
+  const auto dense_result =
+      markov::try_analyze_chain(p, markov::SolvePolicy::kDense);
   const auto t3 = std::chrono::steady_clock::now();
-  markov::force_sparse_mode(markov::SparseMode::kAuto);
   if (!dense_result.ok()) {
     std::cerr << "sparse_scaling: dense reference failed at M=" << m << "\n";
     std::exit(1);

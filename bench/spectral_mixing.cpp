@@ -30,7 +30,7 @@ int main() {
       const auto outcome = core::CoverageOptimizer(problem, opts).run();
 
       const double lambda = markov::slem(outcome.p);
-      const auto chain = markov::analyze_chain(outcome.p);
+      const auto chain = markov::try_analyze_chain(outcome.p).value();
       t.add_row({bench::ratio_label(alpha, beta), util::fmt(lambda, 4),
                  util::fmt(markov::relaxation_time(outcome.p), 2),
                  std::to_string(markov::mixing_time(outcome.p, 0.05)),

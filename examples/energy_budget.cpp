@@ -17,7 +17,7 @@ using namespace mocos;
 
 double expected_distance(const core::Problem& problem,
                          const markov::TransitionMatrix& p) {
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = markov::try_analyze_chain(p).value();
   double d = 0.0;
   for (std::size_t i = 0; i < p.size(); ++i)
     for (std::size_t j = 0; j < p.size(); ++j)

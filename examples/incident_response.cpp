@@ -36,7 +36,7 @@ int main() {
   opts.keep_trace = false;
   opts.seed = 31;
   const auto outcome = core::CoverageOptimizer(problem, opts).run();
-  const auto chain = markov::analyze_chain(outcome.p);
+  const auto chain = markov::try_analyze_chain(outcome.p).value();
 
   std::cout << "Facility patrol: response-time analytics "
                "(targets: gate .2, lobby .1, server .3, vault .4)\n\n";

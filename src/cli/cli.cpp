@@ -19,8 +19,6 @@
 #include "src/geometry/city_topology.hpp"
 #include "src/geometry/polygon.hpp"
 #include "src/markov/entropy.hpp"
-#include "src/markov/incremental.hpp"
-#include "src/markov/sparse_mode.hpp"
 #include "src/markov/spectral.hpp"
 #include "src/sensing/routed_travel_model.hpp"
 #include "src/sim/replication.hpp"
@@ -170,8 +168,6 @@ struct CliArgs {
   std::string trace_path;   // optional NDJSON trace (--trace / MOCOS_TRACE)
   std::string profile_path; // optional phase-profiler JSON (--profile)
   std::size_t jobs = 1;     // 0 = hardware concurrency
-  bool no_incremental = false;  // force full chain solves (A/B verification)
-  bool sparse = false;          // force the sparse chain solver (kOn)
 };
 
 CliArgs parse_args(const std::vector<std::string>& args) {
@@ -205,10 +201,6 @@ CliArgs parse_args(const std::vector<std::string>& args) {
       parsed.trace_path = value("--trace");
     } else if (a == "--profile") {
       parsed.profile_path = value("--profile");
-    } else if (a == "--no-incremental") {
-      parsed.no_incremental = true;
-    } else if (a == "--sparse") {
-      parsed.sparse = true;
     } else if (!a.empty() && a[0] == '-') {
       throw std::invalid_argument("unknown flag: " + a);
     } else if (parsed.config_path.empty()) {
@@ -284,7 +276,7 @@ core::OptimizationOutcome run_optimization(
                                      descent::Trace{},
                                      descent::StopReason::kMaxIterations,
                                      descent::RecoveryLog{},
-                                     markov::ChainSolveCache::Stats{}};
+                                     markov::ChainSolveStats{}};
   }
   core::OptimizerOptions opts;
   opts.algorithm = parse_algorithm(config);
@@ -299,9 +291,7 @@ core::OptimizationOutcome run_optimization(
   if (opts.starts == 0) throw std::invalid_argument("starts: must be >= 1");
   if (opts.starts > 1) opts.random_start = true;  // V2 multi-start protocol
   opts.keep_trace = false;
-  opts.use_incremental = config.get_bool("incremental", true);
   opts.should_stop = hooks.should_stop;
-  opts.shared_cache = hooks.shared_cache;
   // Stage-wise smooth-max β annealing: with smoothmax_anneal_stages = S >= 2
   // the run splits into S warm-started legs (iterations / S each) whose
   // temperature climbs geometrically from smoothmax_beta to
@@ -385,28 +375,10 @@ int run_batch_mode(const CliArgs& cli, std::ostream& out, std::ostream& err) {
 
 /// The CLI proper, after flag parsing and observability setup.
 int run_cli_impl(const CliArgs& cli, std::ostream& out, std::ostream& err) {
-  // Process-global so it also covers paths that build their own descent
-  // configs (frontier sweeps, loaded-schedule audits). Deliberately assigned
-  // (not only set when true) so consecutive in-process run_cli calls do not
-  // leak the escape hatch into each other.
-  markov::force_disable_incremental(cli.no_incremental);
-  markov::force_sparse_mode(cli.sparse ? markov::SparseMode::kOn
-                                       : markov::SparseMode::kAuto);
   try {
     if (!cli.batch_spec.empty()) return run_batch_mode(cli, out, err);
 
     const util::Config config = util::Config::parse_file(cli.config_path);
-    // The `sparse` config key mirrors --sparse (which wins when given);
-    // MOCOS_NO_SPARSE overrides both inside the gate itself.
-    if (!cli.sparse) {
-      const std::string sparse = config.get_string("sparse", "auto");
-      if (sparse == "on")
-        markov::force_sparse_mode(markov::SparseMode::kOn);
-      else if (sparse == "off")
-        markov::force_sparse_mode(markov::SparseMode::kOff);
-      else if (sparse != "auto")
-        throw std::invalid_argument("sparse: must be auto, on or off");
-    }
     const core::Problem problem = build_problem(config);
     const runtime::ExecutionContext ctx(cli.jobs);
 
@@ -473,7 +445,7 @@ int run_cli_impl(const CliArgs& cli, std::ostream& out, std::ostream& err) {
     }
 
     if (config.get_bool("report_spectral", false)) {
-      const auto chain = markov::analyze_chain(outcome.p);
+      const auto chain = markov::try_analyze_chain(outcome.p).value();
       out << "\nspectral diagnostics:\n"
           << "  SLEM: " << util::fmt(markov::slem(outcome.p), 4) << '\n'
           << "  relaxation time: "
@@ -565,9 +537,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     cli = parse_args(args);
   } catch (const std::invalid_argument& e) {
     err << "mocos: " << e.what() << '\n'
-        << "usage: mocos_cli [--jobs N] [--summary FILE] [--no-incremental]\n"
-           "                 [--sparse] [--metrics FILE] [--trace FILE] "
-           "[--profile FILE]\n"
+        << "usage: mocos_cli [--jobs N] [--summary FILE] [--metrics FILE]\n"
+           "                 [--trace FILE] [--profile FILE]\n"
            "                 (<config-file> | --batch <dir-or-list>)\n"
            "see src/cli/cli.hpp for the config format\n";
     return kExitBadConfig;

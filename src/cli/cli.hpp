@@ -7,7 +7,6 @@
 
 #include "src/core/optimizer.hpp"
 #include "src/core/problem.hpp"
-#include "src/markov/incremental.hpp"
 #include "src/runtime/execution_context.hpp"
 #include "src/util/config.hpp"
 
@@ -59,15 +58,6 @@ core::Problem build_problem(const util::Config& config);
 ///   starts     = <n>         (perturbed only: multi-start count, runs on
 ///                             `ctx`; the winner is bit-identical for any
 ///                             job count)
-///   incremental = <bool>     (default true: probe evaluations run through
-///                             the rank-one ChainSolveCache; false forces
-///                             full O(M³) solves for A/B verification —
-///                             also reachable via --no-incremental or the
-///                             MOCOS_NO_INCREMENTAL environment variable)
-///   sparse     = auto | on | off   (chain-solver selection: auto gates on
-///                             size/density, on forces the sparse path, off
-///                             forces dense; the --sparse flag wins over the
-///                             key and MOCOS_NO_SPARSE wins over everything)
 ///   smoothmax_beta_final = <double>, smoothmax_anneal_stages = <n>
 ///                            (β annealing: with stages >= 2 the run splits
 ///                             into that many warm-started legs — iterations
@@ -88,10 +78,6 @@ struct RunHooks {
   /// Polled once per descent iteration; true stops the run with
   /// StopReason::kCancelled (request deadline / drain).
   std::function<bool()> should_stop;
-  /// Long-lived solver cache to run all probes through (warm cross-request
-  /// reuse; caller guarantees exclusive access). Only honored for
-  /// single-start runs.
-  markov::ChainSolveCache* shared_cache = nullptr;
   /// Start matrix override (the previous solution of a same-topology
   /// session); ignored when its size does not match the problem or the
   /// config asks for multi-start / a loaded schedule.
@@ -106,7 +92,7 @@ struct RunHooks {
 };
 
 /// run_optimization with serve-layer hooks (deadline cancellation, warm
-/// caches, warm starts, request-id-keyed seeds).
+/// starts, request-id-keyed seeds).
 core::OptimizationOutcome run_optimization(const util::Config& config,
                                            const core::Problem& problem,
                                            const runtime::ExecutionContext& ctx,
@@ -114,12 +100,10 @@ core::OptimizationOutcome run_optimization(const util::Config& config,
 
 /// Runs the full CLI. Usage:
 ///
-///   mocos_cli [--jobs N] [--summary FILE] [--no-incremental] [--sparse]
-///             [--metrics FILE] [--trace FILE] [--profile FILE]
-///             <config-file>
-///   mocos_cli [--jobs N] [--summary FILE] [--no-incremental] [--sparse]
-///             [--metrics FILE] [--trace FILE] [--profile FILE]
-///             --batch <dir-or-list>
+///   mocos_cli [--jobs N] [--summary FILE] [--metrics FILE] [--trace FILE]
+///             [--profile FILE] <config-file>
+///   mocos_cli [--jobs N] [--summary FILE] [--metrics FILE] [--trace FILE]
+///             [--profile FILE] --batch <dir-or-list>
 ///
 /// --profile accumulates exclusive/inclusive wall time per named phase
 /// (chain solves, gradient assembly, line-search probes, sparse ladder

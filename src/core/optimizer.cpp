@@ -8,6 +8,25 @@
 
 namespace mocos::core {
 
+namespace {
+
+/// The perturbed (V4) driver configuration both the single-start and the
+/// multi-start paths run.
+descent::PerturbedConfig perturbed_config(const OptimizerOptions& options) {
+  descent::PerturbedConfig cfg;
+  cfg.base.step_policy = descent::StepPolicy::kLineSearch;
+  cfg.base.keep_trace = options.keep_trace;
+  cfg.base.should_stop = options.should_stop;
+  cfg.noise_sigma = options.noise_sigma;
+  cfg.annealing_k = options.annealing_k;
+  cfg.max_iterations = options.max_iterations;
+  cfg.stall_limit = options.stall_limit;
+  cfg.keep_trace = options.keep_trace;
+  return cfg;
+}
+
+}  // namespace
+
 CoverageOptimizer::CoverageOptimizer(const Problem& problem,
                                      OptimizerOptions options)
     : problem_(problem), options_(options) {
@@ -19,7 +38,7 @@ OptimizationOutcome CoverageOptimizer::finish(
     Algorithm algorithm, markov::TransitionMatrix best, double cost,
     std::size_t iterations, descent::Trace trace,
     descent::StopReason stop_reason, descent::RecoveryLog recovery,
-    markov::ChainSolveCache::Stats chain_stats) const {
+    markov::ChainSolveStats chain_stats) const {
   cost::Metrics metrics = problem_.metrics_of(best);
   const double report =
       metrics.cost(problem_.weights().alpha, problem_.weights().beta);
@@ -46,17 +65,7 @@ OptimizationOutcome CoverageOptimizer::run(
     descent::MultiStartConfig cfg;
     cfg.starts = options_.starts;
     cfg.random_start = options_.random_start;
-    cfg.perturbed.base.step_policy = descent::StepPolicy::kLineSearch;
-    cfg.perturbed.base.keep_trace = options_.keep_trace;
-    cfg.perturbed.base.incremental.enabled = options_.use_incremental;
-    // should_stop flows into every start; shared_cache deliberately does not
-    // (parallel starts sharing one cache would race on its state).
-    cfg.perturbed.base.should_stop = options_.should_stop;
-    cfg.perturbed.noise_sigma = options_.noise_sigma;
-    cfg.perturbed.annealing_k = options_.annealing_k;
-    cfg.perturbed.max_iterations = options_.max_iterations;
-    cfg.perturbed.stall_limit = options_.stall_limit;
-    cfg.perturbed.keep_trace = options_.keep_trace;
+    cfg.perturbed = perturbed_config(options_);
     util::Rng rng(options_.seed);
     descent::MultiStartResult ms = descent::multi_start_perturbed(
         cost, problem_.num_pois(), cfg, rng, ctx);
@@ -84,18 +93,7 @@ OptimizationOutcome CoverageOptimizer::run(
       problem_.make_cost(options_.smoothmax_beta_override);
 
   if (options_.algorithm == Algorithm::kPerturbed) {
-    descent::PerturbedConfig cfg;
-    cfg.base.step_policy = descent::StepPolicy::kLineSearch;
-    cfg.base.keep_trace = options_.keep_trace;
-    cfg.base.incremental.enabled = options_.use_incremental;
-    cfg.base.should_stop = options_.should_stop;
-    cfg.base.shared_cache = options_.shared_cache;
-    cfg.noise_sigma = options_.noise_sigma;
-    cfg.annealing_k = options_.annealing_k;
-    cfg.max_iterations = options_.max_iterations;
-    cfg.stall_limit = options_.stall_limit;
-    cfg.keep_trace = options_.keep_trace;
-    descent::PerturbedDescent driver(cost, cfg);
+    descent::PerturbedDescent driver(cost, perturbed_config(options_));
     // The RNG must differ from the one used for the start matrix so reruns
     // from an explicit start stay reproducible from the seed alone.
     util::Rng rng(options_.seed ^ 0x5eedULL);
@@ -108,9 +106,7 @@ OptimizationOutcome CoverageOptimizer::run(
   descent::DescentConfig cfg;
   cfg.max_iterations = options_.max_iterations;
   cfg.keep_trace = options_.keep_trace;
-  cfg.incremental.enabled = options_.use_incremental;
   cfg.should_stop = options_.should_stop;
-  cfg.shared_cache = options_.shared_cache;
   if (options_.algorithm == Algorithm::kAdaptive) {
     cfg.step_policy = descent::StepPolicy::kLineSearch;
   } else {

@@ -30,11 +30,6 @@ struct OptimizerOptions {
   /// single call. Starts run on the ExecutionContext handed to run(); the
   /// winner is bit-identical for any job count.
   std::size_t starts = 1;
-  /// Rank-one incremental chain solves for probe evaluations (see
-  /// src/markov/incremental.hpp). False forces every probe onto the full
-  /// O(M³) solve path — the `incremental = false` config key and the CLI
-  /// --no-incremental / MOCOS_NO_INCREMENTAL escape hatch.
-  bool use_incremental = true;
   /// Cooperative cancellation: polled once per descent iteration; returning
   /// true ends the run with StopReason::kCancelled and the best iterate so
   /// far (mocos_serve request deadlines). Null: never stops early.
@@ -44,11 +39,6 @@ struct OptimizerOptions {
   /// across warm-started stages so early stages see a soft, well-conditioned
   /// max and late stages approach the hard worst case.
   std::optional<double> smoothmax_beta_override;
-  /// Externally owned solver cache for all probe evaluations — mocos_serve's
-  /// warm-reuse path. Only honored for single-start runs (parallel starts
-  /// sharing one cache would race); the caller guarantees exclusive access
-  /// for the duration of run().
-  markov::ChainSolveCache* shared_cache = nullptr;
 };
 
 /// Facade tying the problem, the cost construction, and the §V algorithm
@@ -80,7 +70,7 @@ class CoverageOptimizer {
                              std::size_t iterations, descent::Trace trace,
                              descent::StopReason stop_reason,
                              descent::RecoveryLog recovery,
-                             markov::ChainSolveCache::Stats chain_stats) const;
+                             markov::ChainSolveStats chain_stats) const;
 
   const Problem& problem_;
   OptimizerOptions options_;

@@ -32,10 +32,10 @@ struct OptimizationOutcome {
   descent::StopReason stop_reason = descent::StopReason::kMaxIterations;
   /// Rescue events the descent needed (empty on clean runs).
   descent::RecoveryLog recovery;
-  /// Solver-cache counters of the run that produced p (all evaluators the
+  /// Chain-solve counters of the run that produced p (all evaluators the
   /// winning descent used). Deterministic for a fixed seed, so tests can
   /// assert non-zero hit counts.
-  markov::ChainSolveCache::Stats chain_stats;
+  markov::ChainSolveStats chain_stats;
 
   /// Multi-line human-readable summary (used by the examples).
   std::string summary() const;

@@ -37,7 +37,7 @@ double CompositeCost::value(const markov::ChainAnalysis& chain) const {
 }
 
 double CompositeCost::value(const markov::TransitionMatrix& p) const {
-  return value(markov::analyze_chain(p));
+  return value(markov::try_analyze_chain(p).value());
 }
 
 Partials CompositeCost::partials(const markov::ChainAnalysis& chain) const {

@@ -22,7 +22,8 @@ class CompositeCost {
   /// barrier at the boundary).
   double value(const markov::ChainAnalysis& chain) const;
 
-  /// Convenience: analyzes the chain internally.
+  /// Convenience: analyzes the chain internally (markov::try_analyze_chain);
+  /// a failed analysis throws util::StatusError.
   double value(const markov::TransitionMatrix& p) const;
 
   /// Sum of per-term partials (∂U/∂π, ∂U/∂Z, ∂U/∂P).

@@ -1,7 +1,6 @@
 #include "src/cost/gradient.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 #include "src/cost/projection.hpp"
 #include "src/markov/sensitivity.hpp"
@@ -26,22 +25,6 @@ linalg::Matrix projected_cost_gradient(const CompositeCost& cost,
   // bit-identical to project_row_sum_zero.
   return project_row_sum_zero_on_support(cost_gradient(cost, chain),
                                          chain.p.matrix());
-}
-
-linalg::Matrix cost_gradient(const CompositeCost& cost,
-                             const markov::ChainSolveCache& cache) {
-  if (!cache.has_state())
-    throw std::logic_error("cost_gradient: ChainSolveCache has no state");
-  return cost_gradient(cost, cache.analysis());
-}
-
-linalg::Matrix projected_cost_gradient(const CompositeCost& cost,
-                                       const markov::ChainSolveCache& cache) {
-  if (!cache.has_state())
-    throw std::logic_error(
-        "projected_cost_gradient: ChainSolveCache has no state");
-  return project_row_sum_zero_on_support(cost_gradient(cost, cache.analysis()),
-                                         cache.analysis().p.matrix());
 }
 
 }  // namespace mocos::cost

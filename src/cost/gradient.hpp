@@ -2,7 +2,6 @@
 
 #include "src/cost/composite_cost.hpp"
 #include "src/markov/fundamental.hpp"
-#include "src/markov/incremental.hpp"
 
 namespace mocos::cost {
 
@@ -16,14 +15,5 @@ linalg::Matrix cost_gradient(const CompositeCost& cost,
 /// P + Δt·(−Π[D_P U]) remains row-stochastic.
 linalg::Matrix projected_cost_gradient(const CompositeCost& cost,
                                        const markov::ChainAnalysis& chain);
-
-/// Cache-backed variants: evaluate the gradient at the chain currently held
-/// by a ChainSolveCache (the cache must hold state — call
-/// ChainSolveCache::reset / update first). Probe sequences that perturb a
-/// row at a time refresh the analysis in O(M²) between calls.
-linalg::Matrix cost_gradient(const CompositeCost& cost,
-                             const markov::ChainSolveCache& cache);
-linalg::Matrix projected_cost_gradient(const CompositeCost& cost,
-                                       const markov::ChainSolveCache& cache);
 
 }  // namespace mocos::cost

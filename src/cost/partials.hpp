@@ -23,8 +23,8 @@ struct Partials {
   Partials& operator+=(const Partials& rhs);
 
   /// Zeroes all three buffers in place (no reallocation) so a probe loop —
-  /// e.g. gradient evaluations against an incremental ChainSolveCache — can
-  /// reuse one Partials across iterations.
+  /// e.g. CompositeCost::partials_into — can reuse one Partials across
+  /// iterations.
   void clear();
 };
 

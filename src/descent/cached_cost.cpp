@@ -12,24 +12,31 @@
 
 namespace mocos::descent {
 
-CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost,
-                                         markov::IncrementalConfig config)
-    : cost_(cost), owned_(std::in_place, config), cache_(&*owned_) {}
+CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost)
+    : cost_(cost) {}
 
-CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost,
-                                         markov::ChainSolveCache& shared)
-    : cost_(cost), cache_(&shared), initial_stats_(shared.stats()) {}
+util::Status CachedCostEvaluator::refresh(const markov::TransitionMatrix& p) {
+  obs::ScopedPhase phase("chain_solve");
+  // Exact entrywise equality: the memo answers only a bit-identical repeat.
+  if (memo_ && memo_->p.matrix() == p.matrix()) {
+    ++stats_.exact_hits;
+    return util::Status::ok();
+  }
+  memo_.reset();
+  util::StatusOr<markov::ResolventAnalysis> solved =
+      markov::try_resolvent_analysis(p);
+  if (!solved.ok()) return solved.status();
+  ++stats_.full_solves;
+  if (solved->sparse) ++stats_.sparse_full_solves;
+  memo_.emplace(std::move(solved->chain));
+  return util::Status::ok();
+}
 
 double CachedCostEvaluator::cost_at(const markov::TransitionMatrix& p) {
-  util::Status updated;
-  {
-    obs::ScopedPhase phase("chain_solve");
-    updated = cache_->update(p);
-  }
-  if (!updated.is_ok()) return std::numeric_limits<double>::infinity();
+  if (!refresh(p).is_ok()) return std::numeric_limits<double>::infinity();
   try {
     obs::ScopedPhase phase("cost_terms");
-    const double u = cost_.value(cache_->analysis());
+    const double u = cost_.value(*memo_);
     return std::isnan(u) ? std::numeric_limits<double>::infinity() : u;
   } catch (const std::exception&) {
     return std::numeric_limits<double>::infinity();
@@ -37,39 +44,33 @@ double CachedCostEvaluator::cost_at(const markov::TransitionMatrix& p) {
 }
 
 util::StatusOr<const markov::ChainAnalysis*> CachedCostEvaluator::analyze(
-    const markov::TransitionMatrix& p, markov::StationarySolver solver) {
-  if (solver == markov::StationarySolver::kDirect) {
-    // The gradient-step analysis is usually a cache hit (the iterate was
+    const markov::TransitionMatrix& p, markov::SolvePolicy policy) {
+  if (policy == markov::SolvePolicy::kAuto) {
+    // The gradient-step analysis is usually a memo hit (the iterate was
     // just cost-evaluated), so the direct stationary solve inside
-    // try_analyze_chain no longer runs here. Consult its fault site
-    // directly to keep the ladder's power-iteration demote rung reachable
-    // under injection, matching stationary.cpp's try_direct.
+    // try_analyze_chain does not run here. Consult its fault site directly
+    // to keep the ladder's power-iteration demote rung reachable under
+    // injection, matching stationary.cpp's try_direct.
     if (util::fault::fire(util::fault::Site::kStationary))
       return util::Status(util::StatusCode::kSingularMatrix,
                           "stationary solve failed (fault injection)");
-    obs::ScopedPhase phase("chain_solve");
-    util::Status updated = cache_->update(p);
-    if (!updated.is_ok()) return updated;
-    return &cache_->analysis();
+    util::Status refreshed = refresh(p);
+    if (!refreshed.is_ok()) return refreshed;
+    return &*memo_;
   }
   obs::ScopedPhase phase("chain_solve");
   util::StatusOr<markov::ChainAnalysis> chain =
-      markov::try_analyze_chain(p, solver);
+      markov::try_analyze_chain(p, policy);
   if (!chain.ok()) return chain.status();
   fallback_.emplace(std::move(*chain));
   return &*fallback_;
 }
 
-void record_cache_metrics(const markov::ChainSolveCache::Stats& stats) {
+void record_cache_metrics(const markov::ChainSolveStats& stats) {
   if (obs::current_metrics() == nullptr) return;
   obs::count("chain_cache.full_solves", stats.full_solves);
   obs::count("chain_cache.sparse_full_solves", stats.sparse_full_solves);
   obs::count("chain_cache.exact_hits", stats.exact_hits);
-  obs::count("chain_cache.row_updates", stats.incremental_row_updates);
-  obs::count("chain_cache.denominator_fallbacks",
-             stats.denominator_fallbacks);
-  obs::count("chain_cache.drift_refactors", stats.drift_refactors);
-  obs::count("chain_cache.residual_fallbacks", stats.residual_fallbacks);
 }
 
 }  // namespace mocos::descent

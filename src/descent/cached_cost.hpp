@@ -3,70 +3,58 @@
 #include <optional>
 
 #include "src/cost/composite_cost.hpp"
-#include "src/markov/incremental.hpp"
-#include "src/markov/stationary.hpp"
+#include "src/markov/resolvent.hpp"
+#include "src/markov/solve_policy.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::descent {
 
-/// Cost/analysis evaluator backed by a ChainSolveCache, shared by the
-/// deterministic and perturbed descent drivers. Every probe — gradient
-/// evaluations, line-search φ(t) samples, candidate acceptance checks — goes
-/// through one cache, so consecutive probes that differ in a few rows (or
-/// none, as when an accepted step re-analyzes the line search's final probe)
-/// are refreshed by rank-one updates instead of full re-factorizations.
-///
-/// With incremental solves disabled (config, --no-incremental, or the
-/// MOCOS_NO_INCREMENTAL environment variable) the cache degenerates to the
-/// original full-solve pipeline, giving an A/B reference path.
+/// Cost/analysis evaluator shared by the deterministic and perturbed descent
+/// drivers. Every probe — gradient evaluations, line-search φ(t) samples,
+/// candidate acceptance checks — goes through one evaluator, which solves
+/// the chain with markov::try_resolvent_analysis and keeps the last
+/// analysis as a one-entry memo: a probe of exactly the P just analyzed (an
+/// accepted step's gradient re-analyzing the line search's final probe)
+/// costs no solve. A descent step moves every row of P, so anything but an
+/// exact repeat is a fresh solve.
 class CachedCostEvaluator {
  public:
-  CachedCostEvaluator(const cost::CompositeCost& cost,
-                      markov::IncrementalConfig config);
+  explicit CachedCostEvaluator(const cost::CompositeCost& cost);
 
-  /// Rides an externally owned cache instead of a private one — the
-  /// mocos_serve warm-reuse path, where consecutive same-topology requests
-  /// probe matrices that are rank-one deltas of each other. The caller
-  /// guarantees exclusive access to `shared` for this evaluator's lifetime.
-  CachedCostEvaluator(const cost::CompositeCost& cost,
-                      markov::ChainSolveCache& shared);
-
-  /// safe_cost through the cache: U_ε(p), or +infinity when the chain
-  /// analysis or cost evaluation fails (non-ergodic probe, singular system),
-  /// so searches treat such points as infeasible.
+  /// U_ε(p) through the memo, or +infinity when the chain analysis or cost
+  /// evaluation fails (non-ergodic probe, singular system), so searches
+  /// treat such points as infeasible.
   [[nodiscard]] double cost_at(const markov::TransitionMatrix& p);
 
-  /// Guarded chain analysis for gradient evaluations. The direct solver runs
-  /// through the cache; the power-iteration rung of the recovery ladder
-  /// bypasses it (the cache's resolvent route *is* a direct solve). The
-  /// pointer stays valid until the next call on this evaluator.
+  /// Guarded chain analysis for gradient evaluations. The default policy is
+  /// the memoized resolvent route; any other policy (the recovery ladder's
+  /// power-iteration rung) runs markov::try_analyze_chain and bypasses the
+  /// memo. The pointer stays valid until the next call on this evaluator.
   [[nodiscard]] util::StatusOr<const markov::ChainAnalysis*> analyze(
       const markov::TransitionMatrix& p,
-      markov::StationarySolver solver = markov::StationarySolver::kDirect);
+      markov::SolvePolicy policy = markov::SolvePolicy::kAuto);
 
-  [[nodiscard]] const markov::ChainSolveCache& cache() const {
-    return *cache_;
-  }
-
-  /// Counters accumulated by *this evaluator's* probes: on a private cache
-  /// that is everything, on a shared cache the delta since construction —
-  /// either way the number a single descent run should report.
-  [[nodiscard]] markov::ChainSolveCache::Stats run_stats() const {
-    return cache_->stats().delta_since(initial_stats_);
+  /// Solve and memo-hit counts of this evaluator's probes.
+  [[nodiscard]] const markov::ChainSolveStats& stats() const {
+    return stats_;
   }
 
  private:
+  /// The analysis of `p`: the memo when it holds exactly `p`, else a fresh
+  /// resolvent solve that replaces it (a failed solve empties it).
+  [[nodiscard]] util::Status refresh(const markov::TransitionMatrix& p);
+
   const cost::CompositeCost& cost_;
-  std::optional<markov::ChainSolveCache> owned_;
-  markov::ChainSolveCache* cache_;  // &*owned_ or the shared cache
-  markov::ChainSolveCache::Stats initial_stats_;
-  std::optional<markov::ChainAnalysis> fallback_;  // power-iteration results
+  std::optional<markov::ChainAnalysis> memo_;
+  std::optional<markov::ChainAnalysis> fallback_;  // off-default-route results
+  markov::ChainSolveStats stats_;
 };
 
-/// Adds a finished cache's counters to the current metrics registry
-/// (chain_cache.full_solves, .row_updates, ...); no-op when metrics are off.
-/// Called once per evaluator at the end of a descent run — counters are
-/// commutative, so this is jobs-invariant wherever the run executed.
-void record_cache_metrics(const markov::ChainSolveCache::Stats& stats);
+/// Adds a finished evaluator's counters to the current metrics registry
+/// (chain_cache.full_solves, .sparse_full_solves, .exact_hits); no-op when
+/// metrics are off. Called once per evaluator at the end of a descent run —
+/// counters are commutative, so this is jobs-invariant wherever the run
+/// executed.
+void record_cache_metrics(const markov::ChainSolveStats& stats);
 
 }  // namespace mocos::descent

@@ -32,11 +32,9 @@ struct LineSearchResult {
 /// two interior third-points and discards only one outer sub-interval).
 /// φ may return +infinity for infeasible probes (barrier / non-ergodic).
 ///
-/// The descent drivers pass a φ backed by CachedCostEvaluator, so successive
-/// probe evaluations share one ChainSolveCache and are refreshed by rank-one
-/// updates whenever consecutive probes differ in few rows of P (see
-/// src/markov/incremental.hpp). φ itself stays a plain callable — the search
-/// is agnostic to how the objective is produced.
+/// The descent drivers pass a φ backed by CachedCostEvaluator, so a probe of
+/// the P just analyzed costs no chain solve. φ itself stays a plain
+/// callable — the search is agnostic to how the objective is produced.
 LineSearchResult trisection_search(const std::function<double(double)>& phi,
                                    double phi_at_zero, double max_step,
                                    const LineSearchConfig& config = {});

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/cost/gradient.hpp"
 #include "src/cost/projection.hpp"
@@ -11,6 +14,7 @@
 #include "src/descent/step_bounds.hpp"
 #include "src/linalg/norms.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/linalg/guard.hpp"
 
@@ -30,24 +34,21 @@ PerturbedDescent::PerturbedDescent(const cost::CompositeCost& cost,
 PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
                                       util::Rng& rng) const {
   markov::TransitionMatrix p = start;
-  // One incremental solver cache for the whole stochastic run (gradient,
-  // line-search probes, and acceptance evaluations) — the run's own, or the
-  // caller's long-lived one (mocos_serve warm reuse across requests).
-  CachedCostEvaluator evaluator =
-      config_.base.shared_cache != nullptr
-          ? CachedCostEvaluator(cost_, *config_.base.shared_cache)
-          : CachedCostEvaluator(cost_, config_.base.incremental);
+  // One evaluator for the whole stochastic run (gradient, line-search
+  // probes, and acceptance evaluations).
+  CachedCostEvaluator evaluator(cost_);
   double current = evaluator.cost_at(p);
   if (std::isinf(current))
     throw std::invalid_argument("PerturbedDescent: infeasible start matrix");
 
   PerturbedResult result{p, current, p, current, 0, 0, 0, Trace{},
                          StopReason::kMaxIterations, RecoveryLog{},
-                         markov::ChainSolveCache::Stats{}};
+                         markov::ChainSolveStats{}};
   obs::count("descent.perturbed.runs");
   obs::ScopedSpan run_span("descent.perturbed_run", "descent");
+  obs::ScopedPhase run_phase("descent.perturbed_run");
   double margin = config_.base.probability_margin;
-  markov::StationarySolver solver = markov::StationarySolver::kDirect;
+  markov::SolvePolicy policy = markov::SolvePolicy::kAuto;
   std::size_t consecutive_failures = 0;
   std::size_t since_improvement = 0;
   double initial_rms = 0.0;  // anchor for the relative-noise floor
@@ -89,20 +90,28 @@ PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
       break;
     }
     util::StatusOr<const markov::ChainAnalysis*> chain =
-        evaluator.analyze(p, solver);
-    if (!chain.ok() && solver == markov::StationarySolver::kDirect &&
+        evaluator.analyze(p, policy);
+    if (!chain.ok() && policy == markov::SolvePolicy::kAuto &&
         util::is_numerical_failure(chain.status().code())) {
-      solver = markov::StationarySolver::kPowerIteration;
+      policy = markov::SolvePolicy::kPowerIteration;
       result.recovery.record(it, RecoveryAction::kPowerIterationFallback,
                              chain.status().code(), chain.status().message());
-      chain = evaluator.analyze(p, solver);
+      chain = evaluator.analyze(p, policy);
     }
     if (!chain.ok()) {
       ++result.iterations;
       if (!recover(it, chain.status())) break;
       continue;
     }
-    linalg::Matrix grad = cost::cost_gradient(cost_, **chain);
+    linalg::Matrix grad;
+    {
+      obs::ScopedPhase phase("gradient_assembly");
+      grad = cost::cost_gradient(cost_, **chain);
+    }
+    // The trace reports this iterate's per-term breakdown; take it now, since
+    // the line-search probes below replace the evaluator's analysis.
+    std::vector<std::pair<std::string, double>> terms;
+    if (obs::trace_active()) terms = cost_.breakdown(**chain);
     const util::Status grad_ok = util::check_finite(grad, "gradient");
     if (!grad_ok.is_ok()) {
       ++result.iterations;
@@ -135,6 +144,11 @@ PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
     const double grad_norm = linalg::frobenius_norm(direction);
     const double max_step = max_feasible_step(p.matrix(), direction, margin);
 
+    // The line-search probes and the candidate's evaluation (with the chain
+    // solves they trigger) accumulate under line_search in the phase
+    // profile, as in the steepest driver.
+    std::optional<obs::ScopedPhase> line_search_phase;
+    line_search_phase.emplace("line_search");
     auto phi = [&](double t) {
       return evaluator.cost_at(apply_step(p, direction, t, margin));
     };
@@ -161,6 +175,7 @@ PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
     const markov::TransitionMatrix candidate =
         apply_step(p, direction, step, margin);
     const double cand_cost = evaluator.cost_at(candidate);
+    line_search_phase.reset();
 
     bool accept = cand_cost < current;
     if (!accept && std::isfinite(cand_cost)) {
@@ -218,7 +233,7 @@ PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
           .num("grad_norm", grad_norm)
           .num("probes", static_cast<double>(ls.evaluations))
           .num("accepted", accept ? 1.0 : 0.0);
-      for (const auto& [term, value] : cost_.breakdown(**chain))
+      for (const auto& [term, value] : terms)
         args.num("term." + term, value);
       obs::trace_instant("descent.iteration", "descent", args);
     }
@@ -229,9 +244,10 @@ PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
     }
   }
 
-  // The quench polish reports its own cache metrics inside run(); only the
-  // stochastic phase's evaluator is recorded here, so counters never double.
-  result.chain_stats = evaluator.run_stats();
+  // The quench polish reports its own chain-solve metrics inside run(); only
+  // the stochastic phase's evaluator is recorded here, so counters never
+  // double.
+  result.chain_stats = evaluator.stats();
   record_cache_metrics(result.chain_stats);
 
   // A cancelled run skips the quench: the deadline already expired, and the

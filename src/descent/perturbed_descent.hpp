@@ -54,9 +54,9 @@ struct PerturbedResult {
   StopReason reason = StopReason::kMaxIterations;
   /// Rescue events taken by the recovery ladder (empty on clean runs).
   RecoveryLog recovery;
-  /// Solver-cache counters summed over the stochastic phase's evaluator and
-  /// the quench polish's (each phase runs its own cache).
-  markov::ChainSolveCache::Stats chain_stats;
+  /// Chain-solve counters summed over the stochastic phase's evaluator and
+  /// the quench polish's (each phase runs its own evaluator).
+  markov::ChainSolveStats chain_stats;
 };
 
 /// The paper's stochastically perturbed steepest descent (V2+V3+V4):

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/cost/gradient.hpp"
 #include "src/descent/cached_cost.hpp"
@@ -96,28 +98,24 @@ DescentResult SteepestDescent::run(
     const markov::TransitionMatrix& start) const {
   markov::TransitionMatrix p = start;
   // All probe evaluations in this run — gradients, line-search samples,
-  // candidate checks — share one incremental solver cache: the run's own, or
-  // the caller's long-lived one (mocos_serve warm reuse across requests).
-  CachedCostEvaluator evaluator =
-      config_.shared_cache != nullptr
-          ? CachedCostEvaluator(cost_, *config_.shared_cache)
-          : CachedCostEvaluator(cost_, config_.incremental);
+  // candidate checks — share one evaluator and its exact-repeat memo.
+  CachedCostEvaluator evaluator(cost_);
   DescentResult result{p,
                        evaluator.cost_at(p),
                        0,
                        StopReason::kMaxIterations,
                        Trace{},
                        RecoveryLog{},
-                       markov::ChainSolveCache::Stats{}};
+                       markov::ChainSolveStats{}};
   if (std::isinf(result.cost))
     throw std::invalid_argument("SteepestDescent: infeasible start matrix");
   obs::count("descent.runs");
   obs::ScopedSpan run_span("descent.run", "descent");
   obs::ScopedPhase run_phase("descent.run");
-  // Shared epilogue for both exit paths: export the cache counters that were
-  // previously dropped here, and the final cost as a gauge.
+  // Shared epilogue for both exit paths: export the chain-solve counters and
+  // the final cost as a gauge.
   auto finalize = [&] {
-    result.chain_stats = evaluator.run_stats();
+    result.chain_stats = evaluator.stats();
     record_cache_metrics(result.chain_stats);
     obs::gauge_set("descent.final_cost", result.cost);
   };
@@ -126,7 +124,7 @@ DescentResult SteepestDescent::run(
   // evaluated finite (the start qualifies by the check above); the ladder
   // rolls back to it whenever an evaluation fails.
   markov::TransitionMatrix last_good = p;
-  markov::StationarySolver solver = markov::StationarySolver::kDirect;
+  markov::SolvePolicy policy = markov::SolvePolicy::kAuto;
   double margin = config_.probability_margin;
   double step_scale = 1.0;
   std::size_t consecutive_failures = 0;
@@ -177,13 +175,13 @@ DescentResult SteepestDescent::run(
     }
     // --- Guarded evaluation: chain analysis, then the gradient. ----------
     util::StatusOr<const markov::ChainAnalysis*> chain =
-        evaluator.analyze(p, solver);
-    if (!chain.ok() && solver == markov::StationarySolver::kDirect &&
+        evaluator.analyze(p, policy);
+    if (!chain.ok() && policy == markov::SolvePolicy::kAuto &&
         util::is_numerical_failure(chain.status().code())) {
-      solver = markov::StationarySolver::kPowerIteration;
+      policy = markov::SolvePolicy::kPowerIteration;
       result.recovery.record(it, RecoveryAction::kPowerIterationFallback,
                              chain.status().code(), chain.status().message());
-      chain = evaluator.analyze(p, solver);
+      chain = evaluator.analyze(p, policy);
     }
     if (!chain.ok()) {
       if (!recover(it, chain.status())) break;
@@ -194,6 +192,10 @@ DescentResult SteepestDescent::run(
       obs::ScopedPhase phase("gradient_assembly");
       grad = cost::projected_cost_gradient(cost_, **chain);
     }
+    // The trace reports this iterate's per-term breakdown; take it now, since
+    // the line-search probes below replace the evaluator's analysis.
+    std::vector<std::pair<std::string, double>> terms;
+    if (obs::trace_active()) terms = cost_.breakdown(**chain);
     const util::Status grad_ok = util::check_finite(grad, "gradient");
     if (!grad_ok.is_ok()) {
       if (!recover(it, grad_ok)) break;
@@ -297,7 +299,7 @@ DescentResult SteepestDescent::run(
           .num("grad_norm", grad_norm)
           .num("probes", static_cast<double>(probes))
           .num("accepted", step > 0.0 ? 1.0 : 0.0);
-      for (const auto& [term, value] : cost_.breakdown(**chain))
+      for (const auto& [term, value] : terms)
         args.num("term." + term, value);
       obs::trace_instant("descent.iteration", "descent", args);
     }

@@ -7,7 +7,7 @@
 #include "src/descent/line_search.hpp"
 #include "src/descent/recovery.hpp"
 #include "src/descent/trace.hpp"
-#include "src/markov/incremental.hpp"
+#include "src/markov/resolvent.hpp"
 #include "src/markov/transition_matrix.hpp"
 
 namespace mocos::descent {
@@ -79,26 +79,13 @@ struct DescentConfig {
   double recovery_margin_growth = 16.0;
   double recovery_margin_cap = 1e-4;
 
-  // --- Incremental solver cache (rank-one chain updates) -----------------
-  /// Parameters of the ChainSolveCache all probe evaluations run through.
-  /// Set incremental.enabled = false (or export MOCOS_NO_INCREMENTAL=1, or
-  /// pass --no-incremental to the CLI) to force every probe onto the full
-  /// O(M³) solve path for A/B verification.
-  markov::IncrementalConfig incremental;
-
-  // --- Cooperative cancellation + cross-request cache reuse (serve) ------
+  // --- Cooperative cancellation (serve) ----------------------------------
   /// Polled once per iteration (cheap next to an O(M²) probe); returning
   /// true stops the run with StopReason::kCancelled and the best iterate so
   /// far. The functor must be wall-clock-free from the descent's point of
   /// view: any clock lives behind it (mocos_serve's deadline check), so this
   /// file stays inside the determinism lint scope.
   std::function<bool()> should_stop;
-  /// Externally owned solver cache to run all probes through instead of a
-  /// per-run private one — mocos_serve's warm-cache path, where consecutive
-  /// same-topology requests are rank-one deltas of each other. The caller
-  /// guarantees exclusive access for the duration of the run (the server's
-  /// per-key lanes serialize same-cache requests). Null: private cache.
-  markov::ChainSolveCache* shared_cache = nullptr;
 };
 
 struct DescentResult {
@@ -109,10 +96,10 @@ struct DescentResult {
   Trace trace;
   /// Rescue events taken by the recovery ladder (empty on clean runs).
   RecoveryLog recovery;
-  /// Solver-cache counters of the evaluator that served every probe of this
-  /// run (previously computed but dropped at this boundary); flows through
-  /// PerturbedResult and OptimizationOutcome to the CLI/metrics surface.
-  markov::ChainSolveCache::Stats chain_stats;
+  /// Chain-solve counters of the evaluator that served every probe of this
+  /// run; flows through PerturbedResult and OptimizationOutcome to the
+  /// CLI/metrics surface.
+  markov::ChainSolveStats chain_stats;
 };
 
 /// Cost of a candidate transition matrix; +infinity when the analysis fails

@@ -21,7 +21,7 @@ double entropy_rate(const linalg::Matrix& p, const linalg::Vector& pi) {
 }
 
 double entropy_rate(const TransitionMatrix& p) {
-  return entropy_rate(p.matrix(), stationary_distribution(p));
+  return entropy_rate(p.matrix(), try_stationary_distribution(p).value());
 }
 
 double max_entropy_rate(std::size_t n_states) {

@@ -4,7 +4,6 @@
 
 #include "src/linalg/lu.hpp"
 #include "src/markov/passage_times.hpp"
-#include "src/markov/sparse_mode.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/partition/block_solver.hpp"
@@ -30,11 +29,6 @@ linalg::Matrix stationary_rows(const linalg::Vector& pi) {
   return linalg::Matrix::outer(linalg::Vector(pi.size(), 1.0), pi);
 }
 
-linalg::Matrix fundamental_matrix(const linalg::Matrix& p,
-                                  const linalg::Vector& pi) {
-  return linalg::inverse(fundamental_system(p, pi));
-}
-
 util::StatusOr<linalg::Matrix> try_fundamental_matrix(
     const linalg::Matrix& p, const linalg::Vector& pi) {
   if (pi.size() != p.rows() || !p.is_square())
@@ -49,26 +43,17 @@ util::StatusOr<linalg::Matrix> try_fundamental_matrix(
   return z;
 }
 
-ChainAnalysis analyze_chain(const TransitionMatrix& p) {
-  linalg::Vector pi = stationary_distribution(p);
-  linalg::Matrix w = stationary_rows(pi);
-  linalg::Matrix z = fundamental_matrix(p.matrix(), pi);
-  linalg::Matrix r = first_passage_times(z, pi);
-  return ChainAnalysis{p, std::move(pi), std::move(w), std::move(z),
-                       std::move(r)};
-}
-
 util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
-                                                StationarySolver solver) {
+                                                SolvePolicy policy) {
   util::Status input = util::check_row_stochastic(p.matrix());
   if (!input.is_ok()) return input;
 
-  // Sparsity-aware path (CSR resolvent + block decomposition). Only the
-  // primary solver selection dispatches here — a caller already demoted to
-  // the power-iteration rung is recovering from a failure and should get
-  // the plain dense pipeline. Any sparse failure falls through to dense, so
-  // this dispatch never introduces a new failure mode.
-  if (solver == StationarySolver::kDirect && sparse_path_enabled(p.matrix())) {
+  // Sparsity-aware path (CSR resolvent + block decomposition). The power
+  // rung never routes here — a caller already demoted to it is recovering
+  // from a failure and should get the plain dense pipeline. Any sparse
+  // failure falls through to dense, so this dispatch never introduces a new
+  // failure mode.
+  if (routes_sparse(policy, p.matrix())) {
     partition::SparseSolveStats sparse_stats;
     util::StatusOr<ChainAnalysis> sparse_result =
         partition::try_sparse_analyze_chain(p, {}, {}, &sparse_stats);
@@ -86,7 +71,7 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
     obs::count("markov.sparse.fallbacks");
   }
 
-  util::StatusOr<linalg::Vector> pi = try_stationary_distribution(p, solver);
+  util::StatusOr<linalg::Vector> pi = try_stationary_distribution(p, policy);
   if (!pi.ok()) return pi.status();
 
   util::StatusOr<linalg::Matrix> z =
@@ -96,9 +81,7 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
   util::StatusOr<linalg::Matrix> r = try_first_passage_times(*z, *pi);
   if (!r.ok()) return r.status();
 
-  linalg::Matrix w = stationary_rows(*pi);
-  return ChainAnalysis{p, std::move(*pi), std::move(w), std::move(*z),
-                       std::move(*r)};
+  return ChainAnalysis{p, std::move(*pi), std::move(*z), std::move(*r)};
 }
 
 }  // namespace mocos::markov

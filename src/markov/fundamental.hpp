@@ -10,13 +10,10 @@ namespace mocos::markov {
 /// Kemeny–Snell fundamental matrix Z = (I - P + W)^(-1), where W = 𝟙πᵀ
 /// (every row equals the stationary distribution). The paper uses Z (via the
 /// group inverse A# = Z - W, Eq. 7) to express first passage times (Eq. 8)
-/// and the chain sensitivities (§IV, following Schweitzer).
-[[nodiscard]] linalg::Matrix fundamental_matrix(const linalg::Matrix& p,
-                                                const linalg::Vector& pi);
-
-/// Non-throwing variant: kSingularMatrix (with the LU pivot diagnostics in
-/// the message) when I - P + W cannot be inverted, kNonFiniteValue when the
-/// inverse contains NaN/inf.
+/// and the chain sensitivities (§IV, following Schweitzer). Returns
+/// kSingularMatrix (with the LU pivot diagnostics in the message) when
+/// I - P + W cannot be inverted, kNonFiniteValue when the inverse contains
+/// NaN/inf.
 [[nodiscard]] util::StatusOr<linalg::Matrix> try_fundamental_matrix(
     const linalg::Matrix& p, const linalg::Vector& pi);
 
@@ -28,20 +25,17 @@ namespace mocos::markov {
 struct ChainAnalysis {
   TransitionMatrix p;
   linalg::Vector pi;   // stationary distribution
-  linalg::Matrix w;    // 1 pi^T
   linalg::Matrix z;    // fundamental matrix
   linalg::Matrix r;    // expected first passage times R_ij (Eq. 8)
 };
 
-[[nodiscard]] ChainAnalysis analyze_chain(const TransitionMatrix& p);
-
-/// Non-throwing chain analysis — the entry point the descent recovery ladder
-/// uses. Runs the selected stationary solver, then the fundamental-matrix
-/// inversion and passage times, validating each stage; the first failure is
-/// returned as a structured Status instead of an exception or NaN-laden
-/// result.
+/// Guarded chain analysis. Chains `policy` routes sparse go through
+/// partition::try_sparse_analyze_chain (resolvent ladder plus a block A/D
+/// cross-check on π); everything else, and any sparse failure, runs the
+/// stationary solve `policy` selects, then the fundamental-matrix inversion
+/// and passage times, validating each stage. The first failure is returned
+/// as a structured Status instead of an exception or NaN-laden result.
 [[nodiscard]] util::StatusOr<ChainAnalysis> try_analyze_chain(
-    const TransitionMatrix& p,
-    StationarySolver solver = StationarySolver::kDirect);
+    const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
 
 }  // namespace mocos::markov

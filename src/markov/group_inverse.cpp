@@ -8,7 +8,7 @@ namespace mocos::markov {
 
 linalg::Matrix group_inverse(const linalg::Matrix& p,
                              const linalg::Vector& pi) {
-  return fundamental_matrix(p, pi) - stationary_rows(pi);
+  return try_group_inverse(p, pi).value();
 }
 
 util::StatusOr<linalg::Matrix> try_group_inverse(const linalg::Matrix& p,

@@ -13,9 +13,9 @@ namespace mocos::markov {
 [[nodiscard]] linalg::Matrix group_inverse(const linalg::Matrix& p,
                                            const linalg::Vector& pi);
 
-/// Non-throwing variant built on try_fundamental_matrix: returns the
+/// group_inverse throws util::StatusError with this variant's status: the
 /// structured kSingularMatrix / kNonFiniteValue status of the underlying
-/// inversion instead of throwing.
+/// try_fundamental_matrix inversion.
 [[nodiscard]] util::StatusOr<linalg::Matrix> try_group_inverse(
     const linalg::Matrix& p, const linalg::Vector& pi);
 

@@ -44,7 +44,7 @@ double slem(const linalg::Matrix& p, const linalg::Vector& pi) {
 }
 
 double slem(const TransitionMatrix& p) {
-  return slem(p.matrix(), stationary_distribution(p));
+  return slem(p.matrix(), try_stationary_distribution(p).value());
 }
 
 double slem_exact(const TransitionMatrix& p) {
@@ -67,7 +67,7 @@ std::size_t mixing_time(const TransitionMatrix& p, double eps,
   if (eps <= 0.0 || eps >= 1.0)
     throw std::invalid_argument("mixing_time: eps must be in (0,1)");
   const std::size_t n = p.size();
-  const linalg::Vector pi = stationary_distribution(p);
+  const linalg::Vector pi = try_stationary_distribution(p).value();
   linalg::Matrix power = p.matrix();
   for (std::size_t t = 1; t <= max_steps; ++t) {
     double worst = 0.0;

@@ -1,12 +1,10 @@
 #include "src/markov/stationary.hpp"
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "src/linalg/lu.hpp"
 #include "src/linalg/norms.hpp"
-#include "src/markov/sparse_mode.hpp"
 #include "src/partition/block_solver.hpp"
 #include "src/sparse/sparse_matrix.hpp"
 #include "src/util/fault_injection.hpp"
@@ -74,27 +72,6 @@ util::StatusOr<linalg::Vector> try_power(const TransitionMatrix& p) {
 
 }  // namespace
 
-linalg::Vector stationary_distribution(const TransitionMatrix& p) {
-  const std::size_t n = p.size();
-  // B = I - P^T + ones; B pi = 1.
-  linalg::Matrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      b(i, j) = (i == j ? 1.0 : 0.0) - p(j, i) + 1.0;
-  linalg::Vector rhs(n, 1.0);
-  linalg::Vector pi = linalg::solve(b, rhs);
-  // Guard + exact renormalization against round-off.
-  double sum = 0.0;
-  for (double x : pi) {
-    if (!(x > -1e-9))
-      throw std::runtime_error(
-          "stationary_distribution: negative mass (chain not ergodic?)");
-    sum += x;
-  }
-  for (double& x : pi) x = std::max(x, 0.0) / sum;
-  return pi;
-}
-
 linalg::Vector stationary_power_iteration(const TransitionMatrix& p,
                                           std::size_t max_iters, double tol) {
   const std::size_t n = p.size();
@@ -112,12 +89,12 @@ linalg::Vector stationary_power_iteration(const TransitionMatrix& p,
 }
 
 util::StatusOr<linalg::Vector> try_stationary_distribution(
-    const TransitionMatrix& p, StationarySolver solver) {
-  // Sparse-eligible chains go through the block aggregation/disaggregation
+    const TransitionMatrix& p, SolvePolicy policy) {
+  // Sparse-routed chains go through the block aggregation/disaggregation
   // solver first; any failure (single block, decoupled blocks, slow A/D
   // convergence) silently falls through to the dense system. The power
   // rung is a recovery path and never dispatches sparse.
-  if (solver == StationarySolver::kDirect && sparse_path_enabled(p.matrix())) {
+  if (routes_sparse(policy, p.matrix())) {
     const sparse::SparseMatrix sp =
         sparse::SparseMatrix::from_dense(p.matrix());
     const partition::Blocks blocks = partition::structural_blocks(sp, {});
@@ -125,7 +102,7 @@ util::StatusOr<linalg::Vector> try_stationary_distribution(
         partition::try_block_stationary(sp, blocks);
     if (pi.ok()) return pi;
   }
-  return solver == StationarySolver::kDirect ? try_direct(p) : try_power(p);
+  return policy == SolvePolicy::kPowerIteration ? try_power(p) : try_direct(p);
 }
 
 }  // namespace mocos::markov

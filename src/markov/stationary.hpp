@@ -1,17 +1,11 @@
 #pragma once
 
 #include "src/linalg/matrix.hpp"
+#include "src/markov/solve_policy.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::markov {
-
-/// Stationary distribution π of an ergodic chain: the unique probability
-/// vector with π P = π.
-///
-/// Solved exactly via the nonsingular system (I - Pᵀ + 𝟙𝟙ᵀ) π = 𝟙, which has
-/// π as its unique solution for ergodic P.
-[[nodiscard]] linalg::Vector stationary_distribution(const TransitionMatrix& p);
 
 /// Power-iteration fallback/cross-check: repeatedly applies x ← x P until the
 /// L1 change drops below `tol` or `max_iters` is hit. Used in tests to verify
@@ -21,12 +15,12 @@ namespace mocos::markov {
     const TransitionMatrix& p, std::size_t max_iters = 100000,
     double tol = 1e-13);
 
-/// Which solver try_stationary_distribution should use. The descent recovery
-/// ladder demotes itself from kDirect to kPowerIteration after a singular
-/// direct solve.
-enum class StationarySolver { kDirect, kPowerIteration };
-
-/// Non-throwing stationary solve. Failure modes:
+/// Stationary distribution π of an ergodic chain: the unique probability
+/// vector with π P = π. The dense direct route solves the nonsingular system
+/// (I - Pᵀ + 𝟙𝟙ᵀ) π = 𝟙, which has π as its unique solution for ergodic P;
+/// chains `policy` routes sparse try the block aggregation/disaggregation
+/// solver first. The descent recovery ladder demotes itself to
+/// kPowerIteration after a singular direct solve. Failure modes:
 ///  - kSingularMatrix: the direct system could not be factored;
 ///  - kNotErgodic: the solution has negative mass (reducible chain), or the
 ///    power iteration converged to something that is not a fixed point of P
@@ -35,7 +29,6 @@ enum class StationarySolver { kDirect, kPowerIteration };
 /// The returned vector is validated (finite, non-negative, sums to 1) before
 /// being handed back.
 [[nodiscard]] util::StatusOr<linalg::Vector> try_stationary_distribution(
-    const TransitionMatrix& p,
-    StationarySolver solver = StationarySolver::kDirect);
+    const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
 
 }  // namespace mocos::markov

@@ -25,7 +25,8 @@ const markov::TransitionMatrix& SensorTeam::chain(std::size_t k) const {
 
 std::vector<double> SensorTeam::sensor_coverage(std::size_t k) const {
   const sensing::CoverageTensors tensors(model_);
-  return cost::coverage_shares(markov::analyze_chain(chain(k)), tensors);
+  return cost::coverage_shares(markov::try_analyze_chain(chain(k)).value(),
+                               tensors);
 }
 
 std::vector<double> SensorTeam::combined_coverage() const {
@@ -33,7 +34,7 @@ std::vector<double> SensorTeam::combined_coverage() const {
   std::vector<double> not_covered(num_pois(), 1.0);
   for (const auto& p : chains_) {
     const auto c =
-        cost::coverage_shares(markov::analyze_chain(p), tensors);
+        cost::coverage_shares(markov::try_analyze_chain(p).value(), tensors);
     for (std::size_t i = 0; i < num_pois(); ++i)
       not_covered[i] *= 1.0 - c[i];
   }

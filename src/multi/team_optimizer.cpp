@@ -80,8 +80,8 @@ SensorTeam optimize_team(const core::Problem& problem,
   for (std::size_t round = 1; round < options.rounds; ++round) {
     std::vector<std::vector<double>> shares(sensors);
     runtime::parallel_for(ctx, sensors, [&](std::size_t k) {
-      shares[k] = cost::coverage_shares(markov::analyze_chain(chains[k]),
-                                        problem.tensors());
+      shares[k] = cost::coverage_shares(
+          markov::try_analyze_chain(chains[k]).value(), problem.tensors());
     });
     std::vector<std::vector<double>> residuals(sensors);
     for (std::size_t k = 0; k < sensors; ++k) {

@@ -316,8 +316,8 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
   }();
   if (!g.ok()) return g.status();
 
-  // πᵀ = cᵀG — identical derivation to the incremental cache so the two
-  // sparse consumers stay bit-compatible.
+  // πᵀ = cᵀG — identical derivation to markov::try_resolvent_analysis so
+  // the two sparse consumers stay bit-compatible.
   linalg::Vector pi(n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) pi[j] += (*g)(i, j);
@@ -352,8 +352,7 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
     return markov::try_first_passage_times(z, pi);
   }();
   if (!r.ok()) return r.status();
-  linalg::Matrix w = markov::stationary_rows(pi);
-  return markov::ChainAnalysis{p, std::move(pi), std::move(w), std::move(z),
+  return markov::ChainAnalysis{p, std::move(pi), std::move(z),
                                std::move(*r)};
 }
 

@@ -78,10 +78,10 @@ struct SparseSolveStats {
 /// Sparsity-aware replacement for markov::try_analyze_chain: computes G
 /// through try_sparse_resolvent, π independently through the block A/D solve
 /// (sparse power iteration as its recovery rung), cross-checks the two
-/// estimates to config.pi_agreement_tol, and derives W/Z/R from the
-/// resolvent exactly as the incremental cache does. Any failure — including
-/// a cross-check disagreement — returns a Status so the caller can fall
-/// back to the dense pipeline.
+/// estimates to config.pi_agreement_tol, and derives Z/R from the
+/// resolvent exactly as markov::try_resolvent_analysis does. Any failure —
+/// including a cross-check disagreement — returns a Status so the caller
+/// can fall back to the dense pipeline.
 [[nodiscard]] util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
     const markov::TransitionMatrix& p, const SparseAnalysisConfig& config = {},
     const runtime::ExecutionContext& ctx = {},

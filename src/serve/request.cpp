@@ -86,9 +86,7 @@ void write_response(const Response& response, std::ostream& out) {
         << ", \"warm_started\": "
         << (response.warm_started ? "true" : "false")
         << ", \"cache_full_solves\": " << response.chain.full_solves
-        << ", \"cache_exact_hits\": " << response.chain.exact_hits
-        << ", \"cache_row_updates\": "
-        << response.chain.incremental_row_updates;
+        << ", \"cache_exact_hits\": " << response.chain.exact_hits;
   }
   if (response.retry_after_ms)
     out << ", \"retry_after_ms\": " << *response.retry_after_ms;

@@ -6,7 +6,7 @@
 #include <string>
 #include <string_view>
 
-#include "src/markov/incremental.hpp"
+#include "src/markov/resolvent.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::serve {
@@ -25,8 +25,9 @@ namespace mocos::serve {
 ///   deadline_ms (number, optional)  per-request budget; overrides the
 ///                                   server default (0 = no deadline)
 ///   cache_key   (string, optional)  requests sharing a key run in arrival
-///                                   order on one warm ChainSolveCache lane;
-///                                   empty/absent = a cold cache per request
+///                                   order on one lane, which keeps the
+///                                   key's last solution; empty/absent = an
+///                                   independent request
 ///   warm_start  (bool, optional)    start from the lane's previous solution
 ///                                   when sizes match (keyed lanes only)
 struct Request {
@@ -64,7 +65,7 @@ struct Response {
   std::uint64_t iterations = 0;
   std::string stop_reason;
   std::uint64_t recovery_events = 0;
-  markov::ChainSolveCache::Stats chain;
+  markov::ChainSolveStats chain;
   bool warm_started = false;
 
   // Shed payload (code == kExitShed).

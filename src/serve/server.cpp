@@ -20,7 +20,6 @@
 #include "src/cli/cli.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/problem.hpp"
-#include "src/markov/incremental.hpp"
 #include "src/obs/exposition.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/phase_timer.hpp"
@@ -176,19 +175,18 @@ class ServerImpl {
 
  private:
   /// Requests sharing a cache_key form a lane: they run one at a time, in
-  /// arrival order, against the lane's long-lived solver cache and previous
-  /// solution. Serializing per key is what makes warm-cache state — and with
+  /// arrival order, and a warm_start request starts from the lane's previous
+  /// solution. Serializing per key is what makes that warm state — and with
   /// it the response log — independent of worker count. Lanes are held by
   /// shared_ptr so an LRU eviction can drop the map entry while a pump is
   /// still draining the lane's queue; the warm state dies with the last ref.
   // Locking discipline (TSA cannot express it: a nested struct's fields
   // cannot name the outer class's lanes_mu_ in MOCOS_GUARDED_BY):
   //   - waiting / running / uses / last_use_tick are guarded by lanes_mu_.
-  //   - cache / last_solution are NOT lock-protected: `running` guarantees
-  //     at most one pump services a lane at a time, so only that pump's
-  //     worker touches them (single-pump exclusivity).
+  //   - last_solution is NOT lock-protected: `running` guarantees at most
+  //     one pump services a lane at a time, so only that pump's worker
+  //     touches it (single-pump exclusivity).
   struct Lane {
-    markov::ChainSolveCache cache;
     std::optional<markov::TransitionMatrix> last_solution;
     std::deque<std::shared_ptr<Pending>> waiting;
     bool running = false;
@@ -260,7 +258,7 @@ class ServerImpl {
 
   /// Bounds lanes_ (DESIGN.md §11.2: degradation never runs into unbounded
   /// memory): past max_lanes, the least-recently-dispatched lane loses its
-  /// map entry, releasing its warm cache and last solution once any pump
+  /// map entry, releasing its last solution once any pump
   /// still draining it finishes. Runs on the reader thread under lanes_mu_,
   /// keyed only by dispatch ticks — which requests run warm vs cold is
   /// therefore a function of arrival order alone, for any worker count.
@@ -376,8 +374,6 @@ class ServerImpl {
       }
       bool warm_applied = false;
       if (lane != nullptr) {
-        if (config.get_bool("incremental", true))
-          hooks.shared_cache = &lane->cache;
         if (req.warm_start && lane->last_solution &&
             lane->last_solution->size() == problem.num_pois()) {
           hooks.warm_start = &*lane->last_solution;

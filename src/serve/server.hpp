@@ -27,10 +27,10 @@ struct ServeOptions {
   /// (0 = none). Measured over a request's processing time.
   std::uint64_t default_deadline_ms = 0;
   /// Bound on distinct `cache_key` lanes kept warm (0 = unlimited). Beyond
-  /// it the least-recently-dispatched lane is evicted — its solver cache and
-  /// last solution are released, and a later request with that key starts a
-  /// cold lane. Eviction decisions depend only on request arrival order, so
-  /// which requests run warm is identical for any `--jobs` value.
+  /// it the least-recently-dispatched lane is evicted — its last solution
+  /// is released, and a later request with that key starts a cold lane.
+  /// Eviction decisions depend only on request arrival order, so which
+  /// requests run warm is identical for any `--jobs` value.
   std::size_t max_lanes = 64;
   /// Watchdog: extra slack past a request's deadline before the watchdog
   /// answers on the worker's behalf (the cooperative cancellation should

@@ -15,7 +15,7 @@ namespace mocos::sparse {
 /// with P sparse and the rank-one term applied implicitly (𝟙cᵀ is globally
 /// dense, so materializing A would destroy sparsity; one extra dot product
 /// per matvec keeps the operator O(nnz)). With u = 𝟙 and c = 𝟙/M this is
-/// the incremental cache's fixed-c resolvent (I − P + 𝟙cᵀ); with u = c = 𝟙
+/// the descent's fixed-c resolvent (I − P + 𝟙cᵀ); with u = c = 𝟙
 /// it is the dense stationary system B = I − Pᵀ + ones in transposed form.
 struct ResolventOperator {
   const SparseMatrix* p = nullptr;  // not owned; must outlive the operator
@@ -34,7 +34,7 @@ struct ResolventOperator {
 };
 
 /// Iteration/tolerance knobs for the Krylov solve. The defaults aim at the
-/// incremental cache's ≤1e-10 parity contract: a 1e-13 relative residual
+/// resolvent analysis's ≤1e-10 parity contract: a 1e-13 relative residual
 /// leaves the downstream π/Z/R derivations indistinguishable from a direct
 /// solve on weakly-coupled chains.
 struct ResolventSolveConfig {

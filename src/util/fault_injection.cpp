@@ -20,8 +20,6 @@ const char* to_string(Site site) {
       return "gradient";
     case Site::kLineSearch:
       return "line-search";
-    case Site::kIncrementalDenominator:
-      return "incremental-denominator";
     case Site::kServeDecodeFault:
       return "serve-decode";
     case Site::kServeQueueFull:

@@ -27,9 +27,6 @@ enum class Site : std::size_t {
   kStationary,     // direct stationary solve fails (exercises power fallback)
   kGradient,       // cost gradient is poisoned with NaN
   kLineSearch,     // trisection search returns Δt* = 0 (step rejected)
-  kIncrementalDenominator,  // Sherman–Morrison denominator reads as
-                            // ill-conditioned (forces the full-solve
-                            // fallback in ChainSolveCache)
   // Request-layer sites (mocos_serve): each must surface as one structured
   // response — never as process death.
   kServeDecodeFault,  // NDJSON request decoding fails (malformed-input path)

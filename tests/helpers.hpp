@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "src/sensing/travel_model.hpp"
@@ -8,8 +9,18 @@
 #include "src/markov/fundamental.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/status.hpp"
 
 namespace mocos::test {
+
+/// The value of a guarded solve (markov::try_analyze_chain,
+/// try_stationary_distribution, try_fundamental_matrix, ...). A failed solve
+/// throws util::StatusError, failing the test with its structured
+/// diagnostic.
+template <typename T>
+T unwrap(util::StatusOr<T> result) {
+  return std::move(result).value();
+}
 
 /// A small, asymmetric, ergodic 3-state chain with known structure used by
 /// many analytic unit tests.

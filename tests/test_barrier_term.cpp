@@ -76,8 +76,8 @@ TEST(BarrierTerm, RejectsBadEpsilon) {
 TEST(BarrierTerm, ChainValueSumsEntries) {
   BarrierTerm b(0.3);  // wide gates so the uniform 3-chain (entries 1/3)
                        // sits partially inside the low gate region
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(3));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(3)));
   // all entries are 1/3 > eps=0.3 -> actually outside; use 0.4? eps<0.5.
   BarrierTerm wide(0.4);
   const double per_entry = wide.entry_value(1.0 / 3.0);
@@ -88,8 +88,8 @@ TEST(BarrierTerm, ChainValueSumsEntries) {
 
 TEST(BarrierTerm, AccumulatesOnlyDirectPartials) {
   BarrierTerm b(0.4);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(3));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(3)));
   Partials p(3);
   b.accumulate_partials(chain, p);
   for (double x : p.du_dpi) EXPECT_DOUBLE_EQ(x, 0.0);

@@ -2,22 +2,24 @@
 //
 // A seeded generator (Rng::stream, so chain k is reproducible in isolation)
 // produces hundreds of random ergodic chains of varying size; every chain
-// must satisfy the paper's Eqs. 5–8 identities, and the incremental
-// ChainSolveCache must agree with the full solve to 1e-10 after randomized
-// update_row sequences — including when fault injection forces the
-// ill-conditioned-denominator fallback mid-sequence.
+// must satisfy the paper's Eqs. 5–8 identities, and the descent's resolvent
+// solve must agree with the guarded reference pipeline (try_analyze_chain)
+// to 1e-10. The descent evaluator's one-entry memo answers exact repeats
+// only.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 
 #include "gtest/gtest.h"
 #include "src/core/optimizer.hpp"
+#include "src/cost/barrier_term.hpp"
+#include "src/descent/cached_cost.hpp"
 #include "src/linalg/matrix.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/group_inverse.hpp"
-#include "src/markov/incremental.hpp"
-#include "src/util/fault_injection.hpp"
+#include "src/markov/resolvent.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
@@ -36,24 +38,6 @@ markov::TransitionMatrix generated_chain(std::uint64_t k) {
   return test::random_positive_chain(n, rng, /*floor=*/0.01);
 }
 
-/// A probe row for `update_row`: the current row pulled toward a fresh
-/// random probability vector; stays a probability vector by construction.
-linalg::Vector perturbed_row(const linalg::Matrix& p, std::size_t i,
-                             util::Rng& rng) {
-  const std::size_t n = p.rows();
-  linalg::Vector target(n);
-  double sum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    target[j] = 0.01 + rng.uniform();
-    sum += target[j];
-  }
-  const double eps = rng.uniform(0.05, 0.5);
-  linalg::Vector row(n);
-  for (std::size_t j = 0; j < n; ++j)
-    row[j] = (1.0 - eps) * p(i, j) + eps * target[j] / sum;
-  return row;
-}
-
 double max_abs_diff(const linalg::Matrix& a, const linalg::Matrix& b) {
   double worst = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i)
@@ -69,7 +53,7 @@ double max_abs_diff(const linalg::Vector& a, const linalg::Vector& b) {
   return worst;
 }
 
-/// Worst entry difference between a cached analysis and a full solve.
+/// Worst entry difference between two analyses of the same chain.
 double analysis_diff(const markov::ChainAnalysis& a,
                      const markov::ChainAnalysis& b) {
   double worst = max_abs_diff(a.pi, b.pi);
@@ -115,214 +99,77 @@ TEST(ChainProperties, CachedResolventMatchesFullAnalysis) {
   for (std::uint64_t k = 0; k < kNumChains; ++k) {
     SCOPED_TRACE("chain " + std::to_string(k));
     const markov::TransitionMatrix p = generated_chain(k);
-    markov::ChainSolveCache cache;
-    ASSERT_TRUE(cache.reset(p).is_ok());
+    const auto solved = markov::try_resolvent_analysis(p);
+    ASSERT_TRUE(solved.ok()) << solved.status().to_string();
+    EXPECT_FALSE(solved->sparse);
     const auto full = markov::try_analyze_chain(p);
     ASSERT_TRUE(full.ok());
-    EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
+    EXPECT_LE(analysis_diff(solved->chain, *full), kAgreementTol);
 
-    // The cached group inverse satisfies Meyer's axioms for A = I − P:
+    // The group inverse A# = Z − W satisfies Meyer's axioms for A = I − P:
     // A·A#·A = A, A#·A·A# = A#, A·A# = A#·A.
     const std::size_t n = p.size();
     linalg::Matrix a(n, n);
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j)
         a(i, j) = (i == j ? 1.0 : 0.0) - p(i, j);
-    EXPECT_TRUE(markov::satisfies_group_inverse_axioms(a, cache.a_sharp(),
-                                                       1e-8));
+    const linalg::Matrix a_sharp =
+        solved->chain.z - markov::stationary_rows(solved->chain.pi);
+    EXPECT_TRUE(markov::satisfies_group_inverse_axioms(a, a_sharp, 1e-8));
   }
 }
 
-TEST(ChainProperties, IncrementalAgreesWithFullAfterRandomUpdateSequences) {
-  const util::Rng root(77);
-  for (std::uint64_t k = 0; k < kNumChains; ++k) {
-    SCOPED_TRACE("chain " + std::to_string(k));
-    const markov::TransitionMatrix start = generated_chain(k);
-    const std::size_t n = start.size();
-    markov::ChainSolveCache cache;
-    ASSERT_TRUE(cache.reset(start).is_ok());
-
-    util::Rng rng = root.stream(k);
-    linalg::Matrix p = start.matrix();
-    const std::size_t updates = 8 + rng.index(12);
-    for (std::size_t u = 0; u < updates; ++u) {
-      const std::size_t i = rng.index(n);
-      const linalg::Vector row = perturbed_row(p, i, rng);
-      ASSERT_TRUE(cache.update_row(i, row).is_ok())
-          << "update " << u << " row " << i;
-      for (std::size_t j = 0; j < n; ++j) p(i, j) = row[j];
-
-      const auto full =
-          markov::try_analyze_chain(markov::TransitionMatrix(p));
-      ASSERT_TRUE(full.ok());
-      EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol)
-          << "update " << u;
-    }
-    EXPECT_GT(cache.stats().incremental_row_updates, 0u);
-  }
-}
-
-TEST(ChainProperties, UpdateByMatrixDiffsRowsAndStaysConsistent) {
+TEST(ChainProperties, MemoAnswersOnlyExactRepeats) {
+  cost::CompositeCost u;
+  u.add(std::make_unique<cost::BarrierTerm>(1e-4));
+  descent::CachedCostEvaluator evaluator(u);
   const markov::TransitionMatrix start = test::chain3();
-  markov::ChainSolveCache cache;
-  ASSERT_TRUE(cache.reset(start).is_ok());
-  ASSERT_EQ(cache.stats().full_solves, 1u);
 
-  // Re-analyzing the identical matrix is free: no solves, no updates, one
-  // exact hit.
-  ASSERT_TRUE(cache.update(start).is_ok());
-  EXPECT_EQ(cache.stats().full_solves, 1u);
-  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  // The first probe solves; re-probing the identical matrix, by cost or by
+  // analysis, is a memo hit.
+  const double u0 = evaluator.cost_at(start);
+  ASSERT_TRUE(std::isfinite(u0));
+  EXPECT_EQ(evaluator.stats().full_solves, 1u);
+  EXPECT_EQ(evaluator.cost_at(start), u0);
+  const auto hit = evaluator.analyze(start);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(evaluator.stats().full_solves, 1u);
+  EXPECT_EQ(evaluator.stats().exact_hits, 2u);
+  EXPECT_LE(
+      analysis_diff(**hit, test::unwrap(markov::try_analyze_chain(start))),
+      kAgreementTol);
 
-  // A one-row change goes through the rank-one path...
+  // A one-row change is a fresh solve, not an update of the memo.
   linalg::Matrix m = start.matrix();
   m(1, 0) = 0.2;
   m(1, 1) = 0.5;
   m(1, 2) = 0.3;
   const markov::TransitionMatrix one_row(m);
-  ASSERT_TRUE(cache.update(one_row).is_ok());
-  EXPECT_EQ(cache.stats().incremental_row_updates, 1u);
-  const auto full_one = markov::try_analyze_chain(one_row);
-  ASSERT_TRUE(full_one.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full_one), kAgreementTol);
+  const auto changed = evaluator.analyze(one_row);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_EQ(evaluator.stats().full_solves, 2u);
+  EXPECT_EQ(evaluator.stats().exact_hits, 2u);
+  EXPECT_LE(analysis_diff(**changed,
+                          test::unwrap(markov::try_analyze_chain(one_row))),
+            kAgreementTol);
 
-  // ...while changing every row of a 3-state chain re-factors (3 rank-one
-  // updates would cost more than one direct solve).
-  util::Rng rng(5);
-  const markov::TransitionMatrix all_rows = test::random_positive_chain(3,
-                                                                        rng);
-  ASSERT_TRUE(cache.update(all_rows).is_ok());
-  EXPECT_EQ(cache.stats().incremental_row_updates, 1u);  // unchanged
-  EXPECT_GE(cache.stats().full_solves, 2u);
-  const auto full_all = markov::try_analyze_chain(all_rows);
-  ASSERT_TRUE(full_all.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full_all), kAgreementTol);
-}
-
-TEST(ChainProperties, PeriodicRefactorBoundsDrift) {
-  markov::IncrementalConfig config;
-  config.refactor_period = 4;
-  markov::ChainSolveCache cache(config);
-  const markov::TransitionMatrix start = generated_chain(3);
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(9);
-  linalg::Matrix p = start.matrix();
-  const std::size_t n = p.rows();
-  for (std::size_t u = 0; u < 13; ++u) {
-    const std::size_t i = rng.index(n);
-    const linalg::Vector row = perturbed_row(p, i, rng);
-    ASSERT_TRUE(cache.update_row(i, row).is_ok());
-    for (std::size_t j = 0; j < n; ++j) p(i, j) = row[j];
-  }
-  // 13 updates at period 4: at least two forced re-factorizations, and the
-  // final state still matches the full solve.
-  EXPECT_GE(cache.stats().drift_refactors, 2u);
-  const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
-}
-
-TEST(ChainProperties, DenominatorFaultTriggersFullSolveFallback) {
-  // Arm the injected fault so the third Sherman–Morrison denominator reads
-  // as ill-conditioned: the cache must fall back to a full re-factorization
-  // and keep producing answers that agree with the reference pipeline.
-  util::fault::ScopedFault guard(
-      util::fault::Site::kIncrementalDenominator, /*fire_at=*/2, /*count=*/1);
-
-  const markov::TransitionMatrix start = generated_chain(11);
-  const std::size_t n = start.size();
-  markov::ChainSolveCache cache;
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(41);
-  linalg::Matrix p = start.matrix();
-  for (std::size_t u = 0; u < 6; ++u) {
-    const std::size_t i = rng.index(n);
-    const linalg::Vector row = perturbed_row(p, i, rng);
-    ASSERT_TRUE(cache.update_row(i, row).is_ok()) << "update " << u;
-    for (std::size_t j = 0; j < n; ++j) p(i, j) = row[j];
-
-    const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-    ASSERT_TRUE(full.ok());
-    EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol)
-        << "update " << u;
-  }
-  EXPECT_EQ(cache.stats().denominator_fallbacks, 1u);
-  EXPECT_GE(cache.stats().full_solves, 2u);
-}
-
-TEST(ChainProperties, TinyDenominatorFloorRejectsUpdateWithoutFault) {
-  // A min_denominator floor above 1 makes every real denominator (≈1 for
-  // small perturbations) read as ill-conditioned — the same code path a
-  // genuinely near-singular perturbed system takes.
-  markov::IncrementalConfig config;
-  config.min_denominator = 1.5;
-  markov::ChainSolveCache cache(config);
-  const markov::TransitionMatrix start = test::chain3();
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(13);
-  linalg::Matrix p = start.matrix();
-  const linalg::Vector row = perturbed_row(p, 0, rng);
-  ASSERT_TRUE(cache.update_row(0, row).is_ok());
-  EXPECT_EQ(cache.stats().denominator_fallbacks, 1u);
-  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
-  for (std::size_t j = 0; j < 3; ++j) p(0, j) = row[j];
-  const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
-}
-
-TEST(ChainProperties, EscapeHatchForcesFullSolves) {
-  markov::force_disable_incremental(true);
-  markov::ChainSolveCache cache;
-  EXPECT_FALSE(cache.incremental_active());
-  const markov::TransitionMatrix start = test::chain3();
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(17);
-  linalg::Matrix p = start.matrix();
-  const linalg::Vector row = perturbed_row(p, 1, rng);
-  ASSERT_TRUE(cache.update_row(1, row).is_ok());
-  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
-  EXPECT_EQ(cache.stats().full_solves, 2u);
-
-  for (std::size_t j = 0; j < 3; ++j) p(1, j) = row[j];
-  const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-  ASSERT_TRUE(full.ok());
-  // The disabled path *is* the reference pipeline, so agreement is exact.
-  EXPECT_EQ(analysis_diff(cache.analysis(), *full), 0.0);
-
-  markov::force_disable_incremental(false);
-  EXPECT_TRUE(cache.incremental_active());
-}
-
-TEST(ChainProperties, UpdateRowValidatesInput) {
-  markov::ChainSolveCache cache;
-  EXPECT_FALSE(cache.has_state());
-  EXPECT_FALSE(cache.update_row(0, {0.5, 0.5}).is_ok());
-
-  ASSERT_TRUE(cache.reset(test::chain3()).is_ok());
-  EXPECT_EQ(cache.update_row(7, {0.2, 0.3, 0.5}).code(),
-            util::StatusCode::kSizeMismatch);
-  EXPECT_EQ(cache.update_row(0, {0.5, 0.5}).code(),
-            util::StatusCode::kSizeMismatch);
-  EXPECT_FALSE(cache.update_row(0, {0.9, 0.9, -0.8}).is_ok());
-  // The failed updates left the cached analysis untouched.
-  const auto full = markov::try_analyze_chain(test::chain3());
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
+  // A failed solve empties the memo: the next probe of the previous matrix
+  // solves again.
+  const markov::TransitionMatrix reducible(linalg::Matrix{{1.0, 0.0, 0.0},
+                                                          {0.0, 1.0, 0.0},
+                                                          {0.0, 0.0, 1.0}});
+  EXPECT_TRUE(std::isinf(evaluator.cost_at(reducible)));
+  EXPECT_EQ(evaluator.stats().full_solves, 2u);
+  EXPECT_TRUE(std::isfinite(evaluator.cost_at(one_row)));
+  EXPECT_EQ(evaluator.stats().full_solves, 3u);
+  EXPECT_EQ(evaluator.stats().exact_hits, 2u);
 }
 
 TEST(ChainProperties, OptimizationOutcomeExportsCacheStats) {
-  // The descent drivers have always collected ChainSolveCache::Stats; the
-  // outcome now carries them across the descent boundary instead of
-  // dropping them. An adaptive run both rebuilds (every dense descent step
-  // changes all rows, which exceeds the rebuild fraction) and re-probes the
-  // cached iterate (the gradient analysis of a just-accepted line-search
-  // candidate), so both counters must be visible on the outcome.
+  // The outcome carries the descent's chain-solve counters. An adaptive run
+  // both solves (every dense descent step moves every row) and re-probes
+  // the memoized iterate (the gradient analysis of a just-accepted
+  // line-search candidate), so both counters must be visible.
   const core::Problem problem = test::paper_problem(1, 0.0, 1.0);
   core::OptimizerOptions opts;
   opts.algorithm = core::Algorithm::kAdaptive;
@@ -331,26 +178,38 @@ TEST(ChainProperties, OptimizationOutcomeExportsCacheStats) {
       core::CoverageOptimizer(problem, opts).run();
   EXPECT_GT(outcome.chain_stats.full_solves, 0u);
   EXPECT_GT(outcome.chain_stats.exact_hits, 0u);
+  EXPECT_EQ(outcome.chain_stats.sparse_full_solves, 0u);
 
-  // Accumulation across phases: Stats::add sums every counter.
-  markov::ChainSolveCache::Stats sum = outcome.chain_stats;
+  // A basic (V1) run solves the start and each step's candidate once; each
+  // iteration's gradient analysis re-probes the accepted candidate, so the
+  // memo halves the solves: N + 1 solves and N hits for N iterations.
+  opts.algorithm = core::Algorithm::kBasic;
+  opts.max_iterations = 60;
+  opts.constant_step = 0.05;
+  const core::OptimizationOutcome basic =
+      core::CoverageOptimizer(test::paper_problem(2, 1.0, 1e-4), opts).run();
+  ASSERT_EQ(basic.stop_reason, descent::StopReason::kMaxIterations);
+  EXPECT_EQ(basic.chain_stats.full_solves, basic.iterations + 1);
+  EXPECT_EQ(basic.chain_stats.exact_hits, basic.iterations);
+
+  // Accumulation across phases: ChainSolveStats::add sums every counter.
+  markov::ChainSolveStats sum = outcome.chain_stats;
   sum.add(outcome.chain_stats);
   EXPECT_EQ(sum.full_solves, 2 * outcome.chain_stats.full_solves);
   EXPECT_EQ(sum.exact_hits, 2 * outcome.chain_stats.exact_hits);
 }
 
-TEST(ChainProperties, ResetRejectsNonErgodicChain) {
-  // Two closed classes: the resolvent system is singular and the cache must
+TEST(ChainProperties, ResolventRejectsNonErgodicChain) {
+  // Two closed classes: the resolvent system is singular and the solve must
   // report a structured failure, not NaN.
   linalg::Matrix m{{0.5, 0.5, 0.0, 0.0},
                    {0.5, 0.5, 0.0, 0.0},
                    {0.0, 0.0, 0.5, 0.5},
                    {0.0, 0.0, 0.5, 0.5}};
-  markov::ChainSolveCache cache;
-  const util::Status status = cache.reset(markov::TransitionMatrix(m));
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_TRUE(util::is_numerical_failure(status.code()));
-  EXPECT_FALSE(cache.has_state());
+  const auto solved =
+      markov::try_resolvent_analysis(markov::TransitionMatrix(m));
+  ASSERT_FALSE(solved.ok());
+  EXPECT_TRUE(util::is_numerical_failure(solved.status().code()));
 }
 
 }  // namespace

@@ -28,8 +28,8 @@ CompositeCost paper_cost(double alpha, double beta, double eps = 1e-4) {
 }
 
 TEST(CompositeCost, SumsTermValues) {
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   CompositeCost u = paper_cost(1.0, 1.0);
   double sum = 0.0;
   for (const auto& [name, v] : u.breakdown(chain)) sum += v;
@@ -37,8 +37,8 @@ TEST(CompositeCost, SumsTermValues) {
 }
 
 TEST(CompositeCost, BreakdownNamesTerms) {
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto bd = paper_cost(1.0, 1.0).breakdown(chain);
   ASSERT_EQ(bd.size(), 3u);
   EXPECT_EQ(bd[0].first, "coverage_deviation");
@@ -48,8 +48,8 @@ TEST(CompositeCost, BreakdownNamesTerms) {
 
 TEST(CompositeCost, PartialsSumAcrossTerms) {
   util::Rng rng(91);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(4, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(4, rng)));
   CompositeCost u = paper_cost(1.0, 1.0);
   const Partials total = u.partials(chain);
   // Compare against manually accumulating each term.
@@ -64,7 +64,8 @@ TEST(CompositeCost, PartialsSumAcrossTerms) {
 TEST(CompositeCost, ConvenienceOverloadAnalyzesChain) {
   const auto p = markov::TransitionMatrix::uniform(4);
   CompositeCost u = paper_cost(1.0, 0.5);
-  EXPECT_NEAR(u.value(p), u.value(markov::analyze_chain(p)), 1e-15);
+  EXPECT_NEAR(u.value(p), u.value(test::unwrap(markov::try_analyze_chain(p))),
+              1e-15);
 }
 
 TEST(CompositeCost, RejectsNullTerm) {
@@ -79,7 +80,7 @@ TEST(CompositeCost, TermIndexOutOfRangeThrows) {
 
 TEST(CompositeCost, EmptyCostIsZero) {
   CompositeCost u;
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EXPECT_DOUBLE_EQ(u.value(chain), 0.0);
 }
 

@@ -21,7 +21,7 @@ TEST(CoverageTerm, ZeroWhenCoverageMatchesTarget) {
   sensing::TravelModel model(geometry::paper_topology(1), 1.0, 1.0, 0.25);
   sensing::CoverageTensors tensors(model);
   const auto p = markov::TransitionMatrix::uniform(4);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto shares = coverage_shares(chain, tensors);
   CoverageDeviationTerm term(tensors, shares, 1.0);
   // g_i uses per-transition scaling, so exact zero only when the shares are
@@ -33,8 +33,8 @@ TEST(CoverageTerm, PositiveWhenOffTarget) {
   sensing::TravelModel model = model3();
   sensing::CoverageTensors tensors(model);
   CoverageDeviationTerm term(tensors, model.topology().targets(), 1.0);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EXPECT_GT(term.value(chain), 0.0);
 }
 
@@ -44,8 +44,8 @@ TEST(CoverageTerm, ScalesLinearlyWithAlpha) {
   const auto targets = model.topology().targets();
   CoverageDeviationTerm t1(tensors, targets, 1.0);
   CoverageDeviationTerm t5(tensors, targets, 5.0);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EXPECT_NEAR(t5.value(chain), 5.0 * t1.value(chain), 1e-14);
 }
 
@@ -55,7 +55,7 @@ TEST(CoverageTerm, DiscrepanciesMatchDefinition) {
   const auto targets = model.topology().targets();
   CoverageDeviationTerm term(tensors, targets, 1.0);
   const auto p = markov::TransitionMatrix::uniform(4);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto kernels = tensors.deviation_kernels(targets);
   const auto g = term.discrepancies(chain);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -71,8 +71,8 @@ TEST(CoverageTerm, ValueIsHalfWeightedSquares) {
   sensing::TravelModel model = model3();
   sensing::CoverageTensors tensors(model);
   CoverageDeviationTerm term(tensors, model.topology().targets(), 2.0);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto g = term.discrepancies(chain);
   double expect = 0.0;
   for (double gi : g) expect += 0.5 * 2.0 * gi * gi;
@@ -84,8 +84,8 @@ TEST(CoverageTerm, PartialsOnlyTouchPiAndP) {
   sensing::CoverageTensors tensors(model);
   CoverageDeviationTerm term(tensors, model.topology().targets(), 1.0);
   util::Rng rng(9);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(4, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(4, rng)));
   Partials p(4);
   term.accumulate_partials(chain, p);
   EXPECT_DOUBLE_EQ(linalg::frobenius_dot(p.du_dz, p.du_dz), 0.0);

@@ -84,7 +84,7 @@ TEST(Eigen, ValidatesSlemEstimator) {
   util::Rng rng(7);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
-    const auto pi = markov::stationary_distribution(p);
+    const auto pi = test::unwrap(markov::try_stationary_distribution(p));
     const Matrix deflated = p.matrix() - markov::stationary_rows(pi);
     const double exact = eigenvalue_modulus(deflated, 0);
     // slem() is a repeated-squaring *estimator*; its error shrinks with the

@@ -23,15 +23,16 @@ TEST(EnergyTerm, LazyChainUsesNoEnergy) {
   const auto tensors = tensors1();
   linalg::Matrix m(4, 4, 0.001 / 3.0);
   for (std::size_t i = 0; i < 4; ++i) m(i, i) = 0.999;
-  const auto chain = markov::analyze_chain(markov::TransitionMatrix(m));
+  const auto chain =
+      test::unwrap(markov::try_analyze_chain(markov::TransitionMatrix(m)));
   EnergyTerm term(tensors, 1.0);
   EXPECT_LT(term.expected_distance(chain), 0.01);
 }
 
 TEST(EnergyTerm, ExpectedDistanceDefinition) {
   const auto tensors = tensors1();
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EnergyTerm term(tensors, 1.0);
   double expect = 0.0;
   for (std::size_t i = 0; i < 4; ++i)
@@ -42,8 +43,8 @@ TEST(EnergyTerm, ExpectedDistanceDefinition) {
 
 TEST(EnergyTerm, ValueIsHalfGammaSquaredDeviation) {
   const auto tensors = tensors1();
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EnergyTerm term(tensors, 3.0, 0.5);
   const double d = term.expected_distance(chain);
   EXPECT_NEAR(term.value(chain), 0.5 * 3.0 * (d - 0.5) * (d - 0.5), 1e-14);
@@ -51,8 +52,8 @@ TEST(EnergyTerm, ValueIsHalfGammaSquaredDeviation) {
 
 TEST(EnergyTerm, ZeroAtTarget) {
   const auto tensors = tensors1();
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EnergyTerm term(tensors, 2.0, 0.0);
   const double d0 = term.expected_distance(chain);
   EnergyTerm at_target(tensors, 2.0, d0);
@@ -67,8 +68,8 @@ TEST(EnergyTerm, RejectsBadParameters) {
 
 TEST(EnergyTerm, PartialsVanishAtTarget) {
   const auto tensors = tensors1();
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EnergyTerm term(tensors, 2.0, 0.0);
   EnergyTerm at_target(tensors, 2.0, term.expected_distance(chain));
   Partials p(4);
@@ -77,7 +78,7 @@ TEST(EnergyTerm, PartialsVanishAtTarget) {
 }
 
 TEST(EntropyTerm, ValueIsMinusWeightedEntropyRate) {
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EntropyTerm term(2.0);
   const double h = markov::entropy_rate(chain.p.matrix(), chain.pi);
   EXPECT_NEAR(term.value(chain), -2.0 * h, 1e-14);
@@ -86,19 +87,19 @@ TEST(EntropyTerm, ValueIsMinusWeightedEntropyRate) {
 TEST(EntropyTerm, UniformChainMinimizesEntropyCost) {
   // Among all chains, the uniform chain maximizes H, hence minimizes -wH.
   EntropyTerm term(1.0);
-  const auto uniform =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto uniform = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   util::Rng rng(81);
   for (int t = 0; t < 10; ++t) {
-    const auto other =
-        markov::analyze_chain(test::random_positive_chain(4, rng));
+    const auto other = test::unwrap(
+        markov::try_analyze_chain(test::random_positive_chain(4, rng)));
     EXPECT_LE(term.value(uniform), term.value(other) + 1e-12);
   }
 }
 
 TEST(EntropyTerm, ZeroWeightIsInert) {
   EntropyTerm term(0.0);
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EXPECT_DOUBLE_EQ(term.value(chain), 0.0);
   Partials p(3);
   term.accumulate_partials(chain, p);

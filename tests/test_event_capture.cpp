@@ -44,8 +44,8 @@ TEST(EventCapture, InstantEventsCaptureAtCoverageShareRate) {
   sensing::CoverageTensors tensors(model);
   util::Rng rng(2);
   const auto p = test::random_positive_chain(4, rng, 0.05);
-  const auto analytic =
-      cost::coverage_shares(markov::analyze_chain(p), tensors);
+  const auto analytic = cost::coverage_shares(
+      test::unwrap(markov::try_analyze_chain(p)), tensors);
 
   EventCaptureConfig cfg;
   cfg.num_transitions = 60000;

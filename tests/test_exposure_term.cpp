@@ -11,7 +11,8 @@ TEST(ExposureTerm, TwoStateClosedForm) {
   // chain2(a,b): leaving 0 always goes to 1, return time R_10 = 1/b, so
   // E_0 = 1/b; symmetrically E_1 = 1/a.
   const double a = 0.3, b = 0.2;
-  const auto chain = markov::analyze_chain(test::chain2(a, b));
+  const auto chain =
+      test::unwrap(markov::try_analyze_chain(test::chain2(a, b)));
   const auto e = ExposureTerm::compute_mean_exposures(chain);
   EXPECT_NEAR(e[0], 1.0 / b, 1e-10);
   EXPECT_NEAR(e[1], 1.0 / a, 1e-10);
@@ -22,7 +23,7 @@ TEST(ExposureTerm, MatchesDirectFormulaFromR) {
   util::Rng rng(71);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
-    const auto chain = markov::analyze_chain(p);
+    const auto chain = test::unwrap(markov::try_analyze_chain(p));
     const auto e = ExposureTerm::compute_mean_exposures(chain);
     for (std::size_t i = 0; i < 5; ++i) {
       double s = 0.0;
@@ -36,14 +37,14 @@ TEST(ExposureTerm, MatchesDirectFormulaFromR) {
 TEST(ExposureTerm, ExposureAtLeastOne) {
   // Every return takes at least one transition.
   util::Rng rng(72);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(6, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(6, rng)));
   for (double e : ExposureTerm::compute_mean_exposures(chain))
     EXPECT_GE(e, 1.0 - 1e-9);
 }
 
 TEST(ExposureTerm, ValueIsHalfWeightedSquares) {
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   ExposureTerm term(3, 2.0);
   const auto e = term.mean_exposures(chain);
   double expect = 0.0;
@@ -53,9 +54,10 @@ TEST(ExposureTerm, ValueIsHalfWeightedSquares) {
 
 TEST(ExposureTerm, HigherStayProbabilityRaisesOthersExposure) {
   // If the sensor lingers at state 0, exposures of other states grow.
-  const auto lazy = markov::analyze_chain(markov::TransitionMatrix(
-      linalg::Matrix{{0.90, 0.05, 0.05}, {0.1, 0.6, 0.3}, {0.4, 0.4, 0.2}}));
-  const auto busy = markov::analyze_chain(test::chain3());
+  const auto lazy = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix(linalg::Matrix{
+          {0.90, 0.05, 0.05}, {0.1, 0.6, 0.3}, {0.4, 0.4, 0.2}})));
+  const auto busy = test::unwrap(markov::try_analyze_chain(test::chain3()));
   const auto e_lazy = ExposureTerm::compute_mean_exposures(lazy);
   const auto e_busy = ExposureTerm::compute_mean_exposures(busy);
   EXPECT_GT(e_lazy[1], e_busy[1]);
@@ -63,16 +65,16 @@ TEST(ExposureTerm, HigherStayProbabilityRaisesOthersExposure) {
 }
 
 TEST(ExposureTerm, UniformChainSymmetry) {
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(5));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(5)));
   const auto e = ExposureTerm::compute_mean_exposures(chain);
   for (std::size_t i = 1; i < 5; ++i) EXPECT_NEAR(e[i], e[0], 1e-10);
 }
 
 TEST(ExposureTerm, PartialsPopulateAllThreeChannels) {
   util::Rng rng(73);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(4, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(4, rng)));
   ExposureTerm term(4, 1.0);
   Partials p(4);
   term.accumulate_partials(chain, p);
@@ -87,7 +89,7 @@ TEST(ExposureTerm, RejectsBadInput) {
   EXPECT_THROW(ExposureTerm(std::vector<double>{}), std::invalid_argument);
   EXPECT_THROW(ExposureTerm(3, -1.0), std::invalid_argument);
   ExposureTerm term(4, 1.0);
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EXPECT_THROW(term.value(chain), std::invalid_argument);
 }
 

@@ -128,14 +128,14 @@ TEST_F(FaultInjectionTest, ForcesDirectStationarySolveFailure) {
   // The power-iteration path is untouched by this site — exactly the
   // escape hatch the descent recovery ladder relies on.
   const auto power = markov::try_stationary_distribution(
-      p, markov::StationarySolver::kPowerIteration);
+      p, markov::SolvePolicy::kPowerIteration);
   ASSERT_TRUE(power.ok());
   for (std::size_t i = 0; i < clean->size(); ++i)
     EXPECT_NEAR((*power)[i], (*clean)[i], 1e-9);
 }
 
 TEST_F(FaultInjectionTest, PoisonsGradientWithNaN) {
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   cost::CompositeCost u;
   u.add(std::make_unique<cost::BarrierTerm>(1e-4));
 

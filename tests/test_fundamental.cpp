@@ -11,9 +11,9 @@ namespace {
 TEST(Fundamental, DefinitionHolds) {
   // Z (I - P + W) = I.
   const TransitionMatrix p = test::chain3();
-  const auto pi = stationary_distribution(p);
+  const auto pi = test::unwrap(try_stationary_distribution(p));
   const auto w = stationary_rows(pi);
-  const auto z = fundamental_matrix(p.matrix(), pi);
+  const auto z = test::unwrap(try_fundamental_matrix(p.matrix(), pi));
   const auto m = linalg::Matrix::identity(3) - p.matrix() + w;
   EXPECT_TRUE(linalg::approx_equal(z * m, linalg::Matrix::identity(3), 1e-11));
   EXPECT_TRUE(linalg::approx_equal(m * z, linalg::Matrix::identity(3), 1e-11));
@@ -22,7 +22,7 @@ TEST(Fundamental, DefinitionHolds) {
 TEST(Fundamental, RowSumsAreOne) {
   // Z 1 = 1 because (I - P + W) 1 = 1.
   const TransitionMatrix p = test::chain3();
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   for (std::size_t i = 0; i < 3; ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < 3; ++j) s += chain.z(i, j);
@@ -32,7 +32,7 @@ TEST(Fundamental, RowSumsAreOne) {
 
 TEST(Fundamental, PiZEqualsPi) {
   const TransitionMatrix p = test::chain3();
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   const auto pi_z = linalg::mul(chain.pi, chain.z);
   EXPECT_TRUE(linalg::approx_equal(pi_z, chain.pi, 1e-12));
 }
@@ -47,7 +47,7 @@ TEST(Fundamental, StationaryRowsMatrix) {
 TEST(Fundamental, UniformChainHasIdentityLikeZ) {
   // For P = W (already stationary), Z = (I - W + W)^(-1) = I.
   const TransitionMatrix p = TransitionMatrix::uniform(4);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   EXPECT_TRUE(
       linalg::approx_equal(chain.z, linalg::Matrix::identity(4), 1e-12));
 }
@@ -55,9 +55,9 @@ TEST(Fundamental, UniformChainHasIdentityLikeZ) {
 TEST(Fundamental, AnalyzeChainBundlesConsistently) {
   util::Rng rng(5);
   const auto p = test::random_positive_chain(5, rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   EXPECT_EQ(chain.p.size(), 5u);
-  EXPECT_TRUE(linalg::approx_equal(chain.w, stationary_rows(chain.pi), 0.0));
+  EXPECT_EQ(chain.pi.size(), 5u);
   // R diag = mean return times 1/pi_i.
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_NEAR(chain.r(i, i), 1.0 / chain.pi[i], 1e-9);
@@ -70,13 +70,14 @@ TEST_P(FundamentalPropertyTest, IdentitiesAcrossRandomChains) {
   util::Rng rng(500 + GetParam());
   for (int t = 0; t < 5; ++t) {
     const auto p = test::random_positive_chain(GetParam(), rng);
-    const auto chain = analyze_chain(p);
+    const auto chain = test::unwrap(try_analyze_chain(p));
     const auto i = linalg::Matrix::identity(GetParam());
-    const auto m = i - p.matrix() + chain.w;
+    const auto w = stationary_rows(chain.pi);
+    const auto m = i - p.matrix() + w;
     EXPECT_TRUE(linalg::approx_equal(chain.z * m, i, 1e-10));
     // WZ = W and ZW = W.
-    EXPECT_TRUE(linalg::approx_equal(chain.w * chain.z, chain.w, 1e-10));
-    EXPECT_TRUE(linalg::approx_equal(chain.z * chain.w, chain.w, 1e-10));
+    EXPECT_TRUE(linalg::approx_equal(w * chain.z, w, 1e-10));
+    EXPECT_TRUE(linalg::approx_equal(chain.z * w, w, 1e-10));
   }
 }
 

@@ -46,7 +46,7 @@ void expect_gradient_matches_fd(const CompositeCost& u, int topology_size,
   for (int t = 0; t < 6; ++t) {
     const auto p = test::random_positive_chain(
         static_cast<std::size_t>(topology_size), rng);
-    const auto chain = markov::analyze_chain(p);
+    const auto chain = test::unwrap(markov::try_analyze_chain(p));
     const auto v =
         test::random_direction(static_cast<std::size_t>(topology_size), rng);
     const auto grad = cost_gradient(u, chain);
@@ -209,7 +209,7 @@ TEST(GradientFd, NewTermsOnSupportRestrictedChain) {
       std::vector<double>{0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05}, 2.0,
       1.0));
   u.add(std::make_unique<MinimaxExposureTerm>(0.8, 5.0));
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto grad = cost_gradient(u, chain);
   const double analytic = linalg::frobenius_dot(grad, v);
   const double fd = directional_fd(u, p, v, 1e-7);
@@ -227,7 +227,7 @@ TEST(GradientFd, ProjectedGradientMatchesForProjectedDirections) {
   u.add(std::make_unique<ExposureTerm>(4, 1.0));
   util::Rng rng(109);
   const auto p = test::random_positive_chain(4, rng);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto v = test::random_direction(4, rng);
   const auto grad = cost_gradient(u, chain);
   const auto proj = projected_cost_gradient(u, chain);

@@ -91,7 +91,7 @@ TEST(PassageVariance, MeansMatchFirstPassageMatrix) {
   // Internal consistency: the mean used by the variance computation is R.
   util::Rng rng(45);
   const auto p = test::random_positive_chain(4, rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   for (std::size_t t = 0; t < 4; ++t) {
     const auto var = passage_time_variance(p, t);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -122,7 +122,7 @@ TEST(PassageVariance, MatchesSimulatedReturnVariance) {
   const double n = static_cast<double>(trials);
   const double mean = sum / n;
   const double variance = sum_sq / n - mean * mean;
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   EXPECT_NEAR(mean, chain.r(1, 0), 0.05 * chain.r(1, 0));
   EXPECT_NEAR(variance, var[1], 0.08 * var[1]);
 }

@@ -25,8 +25,8 @@ struct Fixture {
 TEST(InformationTerm, CaptureRateIsRateWeightedCoverageShares) {
   Fixture f(1);
   util::Rng rng(55);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(4, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(4, rng)));
   const std::vector<double> rates{2.0, 1.0, 0.5, 0.0};
   InformationCaptureTerm term(f.tensors, rates, 1.0);
   const auto shares = coverage_shares(chain, f.tensors);
@@ -37,8 +37,8 @@ TEST(InformationTerm, CaptureRateIsRateWeightedCoverageShares) {
 
 TEST(InformationTerm, ValueIsNegativeGammaTimesCapture) {
   Fixture f(1);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   InformationCaptureTerm term(f.tensors, {1.0, 1.0, 1.0, 1.0}, 3.0);
   EXPECT_NEAR(term.value(chain), -3.0 * term.capture_rate(chain), 1e-14);
   EXPECT_LT(term.value(chain), 0.0);
@@ -52,7 +52,7 @@ TEST(InformationTerm, GradientMatchesFiniteDifference) {
   util::Rng rng(56);
   for (int t = 0; t < 6; ++t) {
     const auto p = test::random_positive_chain(4, rng);
-    const auto chain = markov::analyze_chain(p);
+    const auto chain = test::unwrap(markov::try_analyze_chain(p));
     const auto v = test::random_direction(4, rng);
     const auto grad = cost_gradient(u, chain);
     const double analytic = linalg::frobenius_dot(grad, v);
@@ -82,9 +82,10 @@ TEST(InformationTerm, StayingAtHighRatePoiMaximizesCapture) {
   for (std::size_t i = 1; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) lazy(i, j) = (j == 0) ? 0.9 : 0.1 / 3.0;
   }
-  const auto camp = markov::analyze_chain(markov::TransitionMatrix(lazy));
-  const auto uniform =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto camp =
+      test::unwrap(markov::try_analyze_chain(markov::TransitionMatrix(lazy)));
+  const auto uniform = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EXPECT_GT(term.capture_rate(camp), term.capture_rate(uniform));
 }
 
@@ -104,7 +105,7 @@ TEST(InformationTerm, RejectsBadArguments) {
 TEST(InformationTerm, ChainSizeMismatchThrows) {
   Fixture f(1);
   InformationCaptureTerm term(f.tensors, {1.0, 1.0, 1.0, 1.0}, 1.0);
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EXPECT_THROW(term.value(chain), std::invalid_argument);
   Partials out(3);
   EXPECT_THROW(term.accumulate_partials(chain, out), std::invalid_argument);

@@ -27,7 +27,7 @@
 #include "src/geometry/city_topology.hpp"
 #include "src/geometry/topology.hpp"
 #include "src/markov/fundamental.hpp"
-#include "src/markov/sparse_mode.hpp"
+#include "src/markov/solve_policy.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
@@ -80,7 +80,8 @@ TEST(Metamorphic, PoiRelabelingLeavesScalarMetricsInvariant) {
   for (std::size_t trial = 0; trial < 5; ++trial) {
     const markov::TransitionMatrix p = test::random_positive_chain(6, rng);
     const cost::Metrics m = base.metrics_of(p);
-    const double u = base_cost.value(markov::analyze_chain(p));
+    const double u =
+        base_cost.value(test::unwrap(markov::try_analyze_chain(p)));
 
     for (const auto& perm : perms) {
       SCOPED_TRACE("trial " + std::to_string(trial));
@@ -94,8 +95,8 @@ TEST(Metamorphic, PoiRelabelingLeavesScalarMetricsInvariant) {
 
       // The full penalized cost U_ε (barrier included) is also invariant:
       // the barrier only reads entries of P, which relabeling permutes.
-      const double uu =
-          relabeled.make_cost().value(markov::analyze_chain(q));
+      const double uu = relabeled.make_cost().value(
+          test::unwrap(markov::try_analyze_chain(q)));
       EXPECT_NEAR(uu, u, 1e-9 * (1.0 + std::abs(u)));
 
       // Per-PoI vectors permute with the labels.
@@ -114,8 +115,8 @@ TEST(Metamorphic, ChainAnalysisRespectsPermutationSimilarity) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const markov::TransitionMatrix p = test::random_positive_chain(6, rng);
     const markov::TransitionMatrix q = conjugate(p, perm);
-    const markov::ChainAnalysis a = markov::analyze_chain(p);
-    const markov::ChainAnalysis b = markov::analyze_chain(q);
+    const markov::ChainAnalysis a = test::unwrap(markov::try_analyze_chain(p));
+    const markov::ChainAnalysis b = test::unwrap(markov::try_analyze_chain(q));
     for (std::size_t i = 0; i < 6; ++i) {
       EXPECT_NEAR(b.pi[i], a.pi[perm[i]], 1e-12);
       for (std::size_t j = 0; j < 6; ++j) {
@@ -128,12 +129,10 @@ TEST(Metamorphic, ChainAnalysisRespectsPermutationSimilarity) {
 
 TEST(Metamorphic, PoiRelabelingInvariantAcrossSparseBlockBoundaries) {
   // Sparse-path variant of the relabeling relation: a support-restricted
-  // city problem analyzed through the block solver (sparse mode forced on)
+  // city problem analyzed through the block solver (SolvePolicy::kSparse)
   // must report the same U / ΔC / Ē for any PoI relabeling — in particular
   // one that scatters spatially-adjacent PoIs into different blocks, which
   // catches any index confusion at the A/D stitching boundaries.
-  markov::force_sparse_mode(markov::SparseMode::kOn);
-
   geometry::CityConfig cfg;
   cfg.count = 36;
   cfg.seed = 12;
@@ -191,18 +190,22 @@ TEST(Metamorphic, PoiRelabelingInvariantAcrossSparseBlockBoundaries) {
     for (std::size_t j = 0; j < n; ++j)
       ASSERT_NEAR(q(i, j), p(perm[i], perm[j]), 1e-15);
 
-  const cost::Metrics m_base = base.metrics_of(p);
-  const cost::Metrics m_rel = relabeled.metrics_of(q);
+  const markov::ChainAnalysis a_base = test::unwrap(
+      markov::try_analyze_chain(p, markov::SolvePolicy::kSparse));
+  const markov::ChainAnalysis a_rel = test::unwrap(
+      markov::try_analyze_chain(q, markov::SolvePolicy::kSparse));
+  const cost::Metrics m_base =
+      cost::compute_metrics(a_base, base.tensors(), base.targets());
+  const cost::Metrics m_rel =
+      cost::compute_metrics(a_rel, relabeled.tensors(), relabeled.targets());
   EXPECT_NEAR(m_rel.delta_c, m_base.delta_c,
               1e-12 + 1e-8 * m_base.delta_c);
   EXPECT_NEAR(m_rel.e_bar, m_base.e_bar, 1e-8);
-  const double u_base = base.make_cost().value(markov::analyze_chain(p));
-  const double u_rel = relabeled.make_cost().value(markov::analyze_chain(q));
+  const double u_base = base.make_cost().value(a_base);
+  const double u_rel = relabeled.make_cost().value(a_rel);
   EXPECT_NEAR(u_rel, u_base, 1e-8 * (1.0 + std::abs(u_base)));
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(m_rel.c_share[i], m_base.c_share[perm[i]], 1e-9);
-
-  markov::force_sparse_mode(markov::SparseMode::kAuto);
 }
 
 TEST(Metamorphic, PoiRelabelingInvariantForCaptureAndMinimaxTerms) {
@@ -253,8 +256,8 @@ TEST(Metamorphic, PoiRelabelingInvariantForCaptureAndMinimaxTerms) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const markov::TransitionMatrix p = test::random_positive_chain(6, rng);
     const markov::TransitionMatrix q = conjugate(p, perm);
-    const markov::ChainAnalysis a = markov::analyze_chain(p);
-    const markov::ChainAnalysis b = markov::analyze_chain(q);
+    const markov::ChainAnalysis a = test::unwrap(markov::try_analyze_chain(p));
+    const markov::ChainAnalysis b = test::unwrap(markov::try_analyze_chain(q));
 
     const linalg::Vector f = cap.per_poi_capture(a);
     const linalg::Vector ff = cap_perm.per_poi_capture(b);

@@ -25,8 +25,8 @@ TEST(Metrics, CoverageSharesSumBelowOne) {
   // Travel time between PoIs is not covered time, so shares sum to < 1,
   // and each share is positive for a positive chain.
   Fixture f(1);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto shares = coverage_shares(chain, f.tensors);
   double s = 0.0;
   for (double x : shares) {
@@ -39,8 +39,8 @@ TEST(Metrics, CoverageSharesSumBelowOne) {
 
 TEST(Metrics, SymmetricTopologyUniformChainHasEqualShares) {
   Fixture f(1);
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto shares = coverage_shares(chain, f.tensors);
   for (std::size_t i = 1; i < 4; ++i) EXPECT_NEAR(shares[i], shares[0], 1e-10);
 }
@@ -48,8 +48,8 @@ TEST(Metrics, SymmetricTopologyUniformChainHasEqualShares) {
 TEST(Metrics, DeltaCMatchesCoverageTermDiscrepancies) {
   Fixture f(3);
   util::Rng rng(15);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(4, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(4, rng)));
   const auto m = compute_metrics(chain, f.tensors, f.model.topology().targets());
   CoverageDeviationTerm term(f.tensors, f.model.topology().targets(), 1.0);
   const auto g = term.discrepancies(chain);
@@ -60,7 +60,8 @@ TEST(Metrics, DeltaCMatchesCoverageTermDiscrepancies) {
 
 TEST(Metrics, EBarMatchesExposureNorm) {
   Fixture f(1);
-  const auto chain = markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto m = compute_metrics(chain, f.tensors, f.model.topology().targets());
   const auto e = ExposureTerm::compute_mean_exposures(chain);
   double ss = 0.0;
@@ -72,7 +73,8 @@ TEST(Metrics, EBarMatchesExposureNorm) {
 
 TEST(Metrics, CostEquation14) {
   Fixture f(1);
-  const auto chain = markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto m = compute_metrics(chain, f.tensors, f.model.topology().targets());
   EXPECT_NEAR(m.cost(2.0, 3.0),
               0.5 * 2.0 * m.delta_c + 0.5 * 3.0 * m.e_bar * m.e_bar, 1e-12);
@@ -81,17 +83,18 @@ TEST(Metrics, CostEquation14) {
 
 TEST(Metrics, SizeMismatchThrows) {
   Fixture f(1);
-  const auto chain = markov::analyze_chain(test::chain3());
+  const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EXPECT_THROW(coverage_shares(chain, f.tensors), std::invalid_argument);
-  const auto chain4 =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain4 = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EXPECT_THROW(compute_metrics(chain4, f.tensors, {0.5, 0.5}),
                std::invalid_argument);
 }
 
 TEST(Metrics, TargetEqualSharesGiveZeroDeltaC) {
   Fixture f(1);
-  const auto chain = markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   const auto shares = coverage_shares(chain, f.tensors);
   const auto m = compute_metrics(chain, f.tensors, shares);
   EXPECT_NEAR(m.delta_c, 0.0, 1e-18);

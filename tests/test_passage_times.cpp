@@ -12,7 +12,7 @@ namespace {
 TEST(PassageTimes, TwoStateClosedForm) {
   // chain2(a, b): R_01 = 1/a, R_10 = 1/b, R_ii = 1/pi_i.
   const double a = 0.25, b = 0.4;
-  const auto chain = analyze_chain(test::chain2(a, b));
+  const auto chain = test::unwrap(try_analyze_chain(test::chain2(a, b)));
   EXPECT_NEAR(chain.r(0, 1), 1.0 / a, 1e-10);
   EXPECT_NEAR(chain.r(1, 0), 1.0 / b, 1e-10);
   EXPECT_NEAR(chain.r(0, 0), (a + b) / b, 1e-10);
@@ -20,7 +20,7 @@ TEST(PassageTimes, TwoStateClosedForm) {
 }
 
 TEST(PassageTimes, DiagonalIsMeanReturnTime) {
-  const auto chain = analyze_chain(test::chain3());
+  const auto chain = test::unwrap(try_analyze_chain(test::chain3()));
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_NEAR(chain.r(i, i), 1.0 / chain.pi[i], 1e-10);
 }
@@ -28,7 +28,7 @@ TEST(PassageTimes, DiagonalIsMeanReturnTime) {
 TEST(PassageTimes, SatisfiesOneStepRecurrence) {
   // R_ij = 1 + sum_{k != j} p_ik R_kj for i != j.
   const auto p = test::chain3();
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       if (i == j) continue;
@@ -44,7 +44,7 @@ TEST(PassageTimes, MatchesIndependentLinearSolve) {
   util::Rng rng(31);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
-    const auto chain = analyze_chain(p);
+    const auto chain = test::unwrap(try_analyze_chain(p));
     const auto direct = first_passage_times_by_solve(p.matrix());
     EXPECT_TRUE(linalg::approx_equal(chain.r, direct, 1e-8));
   }
@@ -53,7 +53,7 @@ TEST(PassageTimes, MatchesIndependentLinearSolve) {
 TEST(PassageTimes, AllEntriesPositive) {
   util::Rng rng(32);
   const auto p = test::random_positive_chain(7, rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   for (std::size_t i = 0; i < 7; ++i)
     for (std::size_t j = 0; j < 7; ++j) EXPECT_GT(chain.r(i, j), 0.0);
 }
@@ -61,13 +61,13 @@ TEST(PassageTimes, AllEntriesPositive) {
 TEST(PassageTimes, AtLeastOneStep) {
   util::Rng rng(33);
   const auto p = test::random_positive_chain(4, rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   for (std::size_t i = 0; i < 4; ++i)
     for (std::size_t j = 0; j < 4; ++j) EXPECT_GE(chain.r(i, j), 1.0 - 1e-12);
 }
 
 TEST(PassageTimes, SizeMismatchThrows) {
-  const auto chain = analyze_chain(test::chain3());
+  const auto chain = test::unwrap(try_analyze_chain(test::chain3()));
   EXPECT_THROW(first_passage_times(chain.z, linalg::Vector{0.5, 0.5}),
                std::invalid_argument);
 }
@@ -77,7 +77,7 @@ class PassageRecurrenceTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PassageRecurrenceTest, RecurrenceAcrossSizes) {
   util::Rng rng(900 + GetParam());
   const auto p = test::random_positive_chain(GetParam(), rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   const std::size_t n = GetParam();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {

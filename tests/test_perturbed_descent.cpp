@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "src/cost/barrier_term.hpp"
 #include "src/cost/coverage_term.hpp"
@@ -11,6 +13,8 @@
 #include "src/descent/initializers.hpp"
 #include "src/geometry/paper_topologies.hpp"
 #include "src/markov/ergodicity.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/phase_timer.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos::descent {
@@ -129,6 +133,38 @@ TEST(PerturbedDescent, RejectsBadConfig) {
   PerturbedConfig bad3;
   bad3.max_iterations = 0;
   EXPECT_THROW(PerturbedDescent(f.u, bad3), std::invalid_argument);
+}
+
+TEST(PerturbedDescent, ProfilerSeesEveryIterationsGradient) {
+  // Every iteration that assembles a gradient — the stochastic phase's and
+  // the quench polish's — does so inside a gradient_assembly phase under the
+  // descent.perturbed_run root, so on a clean run the phase count equals
+  // the descent.iterations counter.
+  Fixture f(2, 1.0, 0.0001);
+  PerturbedConfig cfg = quick_config(40);
+  cfg.polish_iterations = 15;
+  PerturbedDescent driver(f.u, cfg);
+  util::Rng rng(4);
+  obs::MetricsRegistry registry;
+  obs::PhaseTimer profiler;
+  PerturbedResult res = [&] {
+    obs::ScopedMetrics metrics(&registry);
+    obs::ScopedProfileInstall profile(&profiler);
+    return driver.run(uniform_start(4), rng);
+  }();
+  ASSERT_TRUE(res.recovery.empty());
+
+  std::uint64_t iterations = 0;
+  for (const auto& c : registry.snapshot().counters)
+    if (c.name == "descent.iterations") iterations = c.value;
+  std::uint64_t gradients = 0;
+  for (const auto& [stack, stats] : profiler.stats()) {
+    if (stack.substr(stack.rfind(';') + 1) != "gradient_assembly") continue;
+    EXPECT_EQ(stack.rfind("descent.perturbed_run;", 0), 0u) << stack;
+    gradients += stats.count;
+  }
+  EXPECT_GT(iterations, 40u);  // the stochastic phase plus the quench
+  EXPECT_EQ(gradients, iterations);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST_P(PipelineFuzz, CostAndMetricsAreFiniteAndConsistent) {
   util::Rng rng(GetParam() ^ 0xabcULL);
   for (int t = 0; t < 3; ++t) {
     const auto p = test::random_positive_chain(problem.num_pois(), rng);
-    const auto chain = markov::analyze_chain(p);
+    const auto chain = test::unwrap(markov::try_analyze_chain(p));
     const double u = cost.value(chain);
     EXPECT_TRUE(std::isfinite(u)) << "seed " << GetParam();
     const auto metrics = problem.metrics_of(p);
@@ -73,7 +73,7 @@ TEST_P(PipelineFuzz, GradientMatchesFiniteDifference) {
   const std::size_t n = problem.num_pois();
   util::Rng rng(GetParam() ^ 0xdefULL);
   const auto p = test::random_positive_chain(n, rng);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto v = test::random_direction(n, rng);
   const auto grad = cost::cost_gradient(cost, chain);
   const double analytic = linalg::frobenius_dot(grad, v);

@@ -61,8 +61,8 @@ TEST(Problem, CostOutlivesProblem) {
     Problem p(geometry::paper_topology(1), Physics{}, Weights{});
     return p.make_cost();
   }();
-  const auto chain =
-      markov::analyze_chain(markov::TransitionMatrix::uniform(4));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(markov::TransitionMatrix::uniform(4)));
   EXPECT_TRUE(std::isfinite(cost.value(chain)));
 }
 
@@ -118,7 +118,7 @@ TEST(Problem, PenalizedCostExceedsReportCostInsideGates) {
   Problem p(geometry::paper_topology(1), Physics{}, w);
   const auto cost = p.make_cost();
   const auto u = markov::TransitionMatrix::uniform(4);
-  const auto chain = markov::analyze_chain(u);
+  const auto chain = test::unwrap(markov::try_analyze_chain(u));
   EXPECT_NEAR(cost.value(chain), p.report_cost(u), 1e-9);
 }
 
@@ -146,7 +146,7 @@ TEST(Problem, TwoPoiBoundaryTopologyOptimizesCleanly) {
   EXPECT_TRUE(std::isfinite(outcome.penalized_cost));
   EXPECT_TRUE(outcome.recovery.empty());
   // A lopsided 0.7/0.3 target pulls coverage toward PoI 0.
-  const auto pi = markov::stationary_distribution(outcome.p);
+  const auto pi = test::unwrap(markov::try_stationary_distribution(outcome.p));
   EXPECT_GT(pi[0], pi[1]);
 }
 

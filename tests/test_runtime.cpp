@@ -312,6 +312,14 @@ TEST(CliFlags, RejectsUnknownFlagAndMissingValues) {
   std::ostringstream out3, err3;
   EXPECT_EQ(cli::run_cli({"--jobs", "two", "x.conf"}, out3, err3),
             cli::kExitBadConfig);
+  // The solve route is not a run-time option: the former escape-hatch and
+  // sparse-forcing flags are unknown.
+  for (const char* removed : {"--sparse", "--no-incremental"}) {
+    std::ostringstream o, e;
+    EXPECT_EQ(cli::run_cli({removed, "x.conf"}, o, e), cli::kExitBadConfig);
+    EXPECT_NE(e.str().find(std::string("unknown flag: ") + removed),
+              std::string::npos);
+  }
 }
 
 TEST(CliFlags, SingleRunIdenticalAcrossJobs) {

@@ -24,8 +24,8 @@ FiniteDiff finite_difference(const TransitionMatrix& p,
       minus(i, j) = p(i, j) - h * v(i, j);
     }
   }
-  const auto cp = analyze_chain(TransitionMatrix(plus));
-  const auto cm = analyze_chain(TransitionMatrix(minus));
+  const auto cp = test::unwrap(try_analyze_chain(TransitionMatrix(plus)));
+  const auto cm = test::unwrap(try_analyze_chain(TransitionMatrix(minus)));
   FiniteDiff out{linalg::Vector(n, 0.0), linalg::Matrix(n, n)};
   for (std::size_t i = 0; i < n; ++i)
     out.dpi[i] = (cp.pi[i] - cm.pi[i]) / (2.0 * h);
@@ -39,7 +39,7 @@ TEST(Sensitivity, StationaryDerivativeMatchesFiniteDifference) {
   util::Rng rng(61);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(4, rng);
-    const auto chain = analyze_chain(p);
+    const auto chain = test::unwrap(try_analyze_chain(p));
     const auto v = test::random_direction(4, rng);
     const auto analytic = stationary_directional_derivative(chain, v);
     const auto fd = finite_difference(p, v, 1e-6);
@@ -52,7 +52,7 @@ TEST(Sensitivity, FundamentalDerivativeMatchesFiniteDifference) {
   util::Rng rng(62);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(4, rng);
-    const auto chain = analyze_chain(p);
+    const auto chain = test::unwrap(try_analyze_chain(p));
     const auto v = test::random_direction(4, rng);
     const auto analytic = fundamental_directional_derivative(chain, v);
     const auto fd = finite_difference(p, v, 1e-6);
@@ -64,7 +64,7 @@ TEST(Sensitivity, StationaryDerivativeSumsToZero) {
   // Σ_i dπ_i = 0 since Σ_i π_i = 1 identically.
   util::Rng rng(63);
   const auto p = test::random_positive_chain(5, rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   const auto v = test::random_direction(5, rng);
   const auto dpi = stationary_directional_derivative(chain, v);
   double s = 0.0;
@@ -73,7 +73,7 @@ TEST(Sensitivity, StationaryDerivativeSumsToZero) {
 }
 
 TEST(Sensitivity, ZeroDirectionGivesZeroDerivatives) {
-  const auto chain = analyze_chain(test::chain3());
+  const auto chain = test::unwrap(try_analyze_chain(test::chain3()));
   const linalg::Matrix zero(3, 3);
   EXPECT_TRUE(linalg::approx_equal(
       stationary_directional_derivative(chain, zero),
@@ -85,7 +85,7 @@ TEST(Sensitivity, ZeroDirectionGivesZeroDerivatives) {
 TEST(Sensitivity, DerivativesAreLinearInDirection) {
   util::Rng rng(64);
   const auto p = test::random_positive_chain(4, rng);
-  const auto chain = analyze_chain(p);
+  const auto chain = test::unwrap(try_analyze_chain(p));
   const auto v = test::random_direction(4, rng);
   const auto dpi1 = stationary_directional_derivative(chain, v);
   const auto dpi2 = stationary_directional_derivative(chain, v * 2.0);
@@ -99,7 +99,7 @@ TEST(ChainRule, ReproducesDirectionalDerivative) {
   util::Rng rng(65);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(4, rng);
-    const auto chain = analyze_chain(p);
+    const auto chain = test::unwrap(try_analyze_chain(p));
     const auto v = test::random_direction(4, rng);
 
     linalg::Vector g_pi(4);
@@ -124,7 +124,7 @@ TEST(ChainRule, ReproducesDirectionalDerivative) {
 }
 
 TEST(ChainRule, SizeMismatchThrows) {
-  const auto chain = analyze_chain(test::chain3());
+  const auto chain = test::unwrap(try_analyze_chain(test::chain3()));
   EXPECT_THROW(chain_rule_gradient(chain, linalg::Vector(2, 0.0),
                                    linalg::Matrix(3, 3), linalg::Matrix(3, 3)),
                std::invalid_argument);

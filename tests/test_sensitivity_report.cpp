@@ -28,7 +28,7 @@ TEST(MetricSensitivity, MatchesFiniteDifferences) {
   util::Rng rng(11);
   for (int t = 0; t < 5; ++t) {
     const auto p = test::random_positive_chain(4, rng);
-    const auto chain = markov::analyze_chain(p);
+    const auto chain = test::unwrap(markov::try_analyze_chain(p));
     const auto sens = metric_sensitivity(chain, f.tensors, targets);
     const auto v = test::random_direction(4, rng);
 
@@ -39,12 +39,13 @@ TEST(MetricSensitivity, MatchesFiniteDifferences) {
         plus(i, j) = p(i, j) + h * v(i, j);
         minus(i, j) = p(i, j) - h * v(i, j);
       }
-    const auto mp = compute_metrics(
-        markov::analyze_chain(markov::TransitionMatrix(plus)), f.tensors,
-        targets);
-    const auto mm = compute_metrics(
-        markov::analyze_chain(markov::TransitionMatrix(minus)), f.tensors,
-        targets);
+    const auto metrics_at = [&](const linalg::Matrix& m) {
+      return compute_metrics(
+          test::unwrap(markov::try_analyze_chain(markov::TransitionMatrix(m))),
+          f.tensors, targets);
+    };
+    const auto mp = metrics_at(plus);
+    const auto mm = metrics_at(minus);
 
     const double fd_dc = (mp.delta_c - mm.delta_c) / (2.0 * h);
     const double fd_eb = (mp.e_bar - mm.e_bar) / (2.0 * h);
@@ -60,8 +61,8 @@ TEST(MetricSensitivity, MatchesFiniteDifferences) {
 TEST(MetricSensitivity, GradientsLieInFeasibleSubspace) {
   Fixture f(1);
   util::Rng rng(12);
-  const auto chain =
-      markov::analyze_chain(test::random_positive_chain(4, rng));
+  const auto chain = test::unwrap(
+      markov::try_analyze_chain(test::random_positive_chain(4, rng)));
   const auto sens =
       metric_sensitivity(chain, f.tensors, f.model.topology().targets());
   EXPECT_NEAR(max_abs_row_sum(sens.delta_c), 0.0, 1e-10);
@@ -80,7 +81,7 @@ TEST(MetricSensitivity, AntagonisticAtTradeoffOptimum) {
   opts.keep_trace = false;
   const auto outcome = core::CoverageOptimizer(problem, opts).run();
 
-  const auto chain = markov::analyze_chain(outcome.p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(outcome.p));
   const auto sens = metric_sensitivity(chain, problem.tensors(),
                                        problem.targets());
   const double alignment = linalg::frobenius_dot(sens.delta_c, sens.e_bar);

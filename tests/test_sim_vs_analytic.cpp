@@ -36,7 +36,7 @@ TEST_P(SimVsAnalyticTest, CoverageSharesConverge) {
   const std::size_t n = s.model.num_pois();
   util::Rng rng(300 + GetParam());
   const auto p = test::random_positive_chain(n, rng, 0.05);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto analytic = cost::coverage_shares(chain, s.tensors);
 
   SimulationConfig cfg;
@@ -53,7 +53,7 @@ TEST_P(SimVsAnalyticTest, ExposuresConverge) {
   const std::size_t n = s.model.num_pois();
   util::Rng rng(400 + GetParam());
   const auto p = test::random_positive_chain(n, rng, 0.05);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto analytic = cost::ExposureTerm::compute_mean_exposures(chain);
 
   SimulationConfig cfg;
@@ -73,7 +73,7 @@ TEST(SimVsAnalytic, DeltaCMatchesAnalytic) {
   SimSetup s(3);
   util::Rng rng(500);
   const auto p = test::random_positive_chain(4, rng, 0.05);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto targets = s.model.topology().targets();
   const auto m = cost::compute_metrics(chain, s.tensors, targets);
 
@@ -89,7 +89,7 @@ TEST(SimVsAnalytic, EBarMatchesAnalytic) {
   SimSetup s(1);
   util::Rng rng(501);
   const auto p = test::random_positive_chain(4, rng, 0.05);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto m =
       cost::compute_metrics(chain, s.tensors, s.model.topology().targets());
 
@@ -106,7 +106,7 @@ TEST(SimVsAnalytic, Equation14CostMatches) {
   SimSetup s(2);
   util::Rng rng(502);
   const auto p = test::random_positive_chain(4, rng, 0.05);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto targets = s.model.topology().targets();
   const auto m = cost::compute_metrics(chain, s.tensors, targets);
 
@@ -175,7 +175,7 @@ TEST_P(CaptureVsAnalyticTest, EventCaptureTermMatchesMonteCarlo) {
   const std::size_t n = model.num_pois();
   util::Rng rng(600 + topo);
   const auto p = clear_path_chain(model.topology(), rng, 0.2);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
 
   const double duration = 2.0;
   const std::vector<double> rates(n, 1.5);

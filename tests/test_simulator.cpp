@@ -60,7 +60,7 @@ TEST(Simulator, VisitFractionMatchesStationary) {
   MarkovCoverageSimulator sim(model, cfg);
   util::Rng rng(10);
   const auto p = test::random_positive_chain(4, rng);
-  const auto chain = markov::analyze_chain(p);
+  const auto chain = test::unwrap(markov::try_analyze_chain(p));
   const auto res = sim.run(p, rng);
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_NEAR(res.visit_fraction[i], chain.pi[i], 0.01);

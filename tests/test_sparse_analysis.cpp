@@ -3,29 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "src/core/optimizer.hpp"
 #include "src/descent/initializers.hpp"
 #include "src/geometry/city_topology.hpp"
 #include "src/linalg/norms.hpp"
-#include "src/markov/incremental.hpp"
-#include "src/markov/sparse_mode.hpp"
+#include "src/markov/resolvent.hpp"
+#include "src/markov/solve_policy.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos {
 namespace {
-
-/// Restores kAuto on scope exit so a failing test cannot leak a forced mode
-/// into the rest of the suite.
-struct ScopedSparseMode {
-  explicit ScopedSparseMode(markov::SparseMode mode) {
-    markov::force_sparse_mode(mode);
-  }
-  ~ScopedSparseMode() { markov::force_sparse_mode(markov::SparseMode::kAuto); }
-};
 
 /// Weakly-coupled city fixture: uniform transitions over the radius-2
 /// neighbourhoods of a jittered grid (4-connected at minimum, so ergodic).
@@ -97,7 +87,8 @@ TEST(BlockStationary, MatchesDenseOnCityChain) {
   partition::SparseSolveStats stats;
   const auto pi = partition::try_block_stationary(sp, blocks, {}, {}, &stats);
   ASSERT_TRUE(pi.ok()) << pi.status().message();
-  const linalg::Vector ref = markov::stationary_distribution(p);
+  const linalg::Vector ref = test::unwrap(
+      markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
   EXPECT_LE(max_abs_gap(*pi, ref), 1e-10);
   EXPECT_GE(stats.blocks, 2u);
   EXPECT_GT(stats.ad_sweeps, 0u);
@@ -110,7 +101,8 @@ TEST(SparseAnalysis, PiAndPassageTimesMatchDense) {
   const auto sparse_chain =
       partition::try_sparse_analyze_chain(p, {}, {}, &stats);
   ASSERT_TRUE(sparse_chain.ok()) << sparse_chain.status().message();
-  const markov::ChainAnalysis dense = markov::analyze_chain(p);
+  const markov::ChainAnalysis dense =
+      test::unwrap(markov::try_analyze_chain(p, markov::SolvePolicy::kDense));
 
   // The acceptance contract: pi and R agree with the dense pipeline to 1e-8
   // on weakly-coupled fixtures.
@@ -141,13 +133,11 @@ TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
   // A dense random chain has no weak coupling to cut: the block solver falls
   // back internally (power-iteration cross-check) or the dispatcher falls
   // through to dense — either way the answer must match the dense pipeline.
-  ScopedSparseMode forced(markov::SparseMode::kOn);
   util::Rng rng(31);
   const auto p = test::random_positive_chain(24, rng);
-  const auto chain = markov::try_analyze_chain(p);
+  const auto chain = markov::try_analyze_chain(p, markov::SolvePolicy::kSparse);
   ASSERT_TRUE(chain.ok()) << chain.status().message();
-  markov::force_sparse_mode(markov::SparseMode::kOff);
-  const auto dense = markov::try_analyze_chain(p);
+  const auto dense = markov::try_analyze_chain(p, markov::SolvePolicy::kDense);
   ASSERT_TRUE(dense.ok());
   EXPECT_LE(max_abs_gap(chain->pi, dense->pi), 1e-8);
   EXPECT_LE(max_rel_gap(chain->r, dense->r), 1e-8);
@@ -164,22 +154,18 @@ TEST(SparseMode, AutoGateRespectsSizeAndDensity) {
   const auto dense = test::random_positive_chain(200, rng);
   EXPECT_FALSE(markov::sparse_path_enabled(dense.matrix()));
 
-  {
-    ScopedSparseMode off(markov::SparseMode::kOff);
-    EXPECT_FALSE(markov::sparse_path_enabled(big.matrix()));
-  }
-  {
-    ScopedSparseMode on(markov::SparseMode::kOn);
-    EXPECT_TRUE(markov::sparse_path_enabled(big.matrix()));
-    // Forced mode still refuses tiny chains (below the M >= 8 floor).
-    EXPECT_FALSE(markov::sparse_path_enabled(test::chain2(0.3, 0.4).matrix()));
-    // The environment escape hatch wins over the forced mode.
-    ::setenv("MOCOS_NO_SPARSE", "1", 1);
-    EXPECT_TRUE(markov::sparse_globally_disabled());
-    EXPECT_FALSE(markov::sparse_path_enabled(big.matrix()));
-    ::unsetenv("MOCOS_NO_SPARSE");
-    EXPECT_FALSE(markov::sparse_globally_disabled());
-  }
+  // The policy argument is the only other input: kAuto defers to the gate,
+  // kSparse forces the ladder down to the M >= 8 floor, and the dense and
+  // power-iteration policies never route sparse.
+  using markov::SolvePolicy;
+  EXPECT_TRUE(markov::routes_sparse(SolvePolicy::kAuto, big.matrix()));
+  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kAuto, dense.matrix()));
+  EXPECT_TRUE(markov::routes_sparse(SolvePolicy::kSparse, dense.matrix()));
+  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kSparse,
+                                     test::chain2(0.3, 0.4).matrix()));
+  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kDense, big.matrix()));
+  EXPECT_FALSE(
+      markov::routes_sparse(SolvePolicy::kPowerIteration, big.matrix()));
 }
 
 TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
@@ -217,47 +203,34 @@ TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
   EXPECT_FALSE(markov::sparse_path_enabled(m));
 }
 
-TEST(SparseIncremental, CacheParityHoldsAtBlockLevel) {
-  // The incremental cache's parity contract, at block level: a sparse full
-  // rebuild followed by Sherman-Morrison row updates must agree with dense
-  // from-scratch analyses to 1e-10.
-  ScopedSparseMode forced(markov::SparseMode::kOn);
+TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
+  // The descent's resolvent solve on the sparse ladder agrees with the dense
+  // from-scratch analysis to 1e-10, at the start chain and along a walk of
+  // support-preserving row perturbations.
   const auto start = city_chain(64, 6);
-
-  markov::ChainSolveCache cache;
-  ASSERT_TRUE(cache.reset(start).is_ok());
-  EXPECT_EQ(cache.stats().sparse_full_solves, 1u);
-  EXPECT_FALSE(cache.lu().has_value());  // G came from the sparse ladder
-
-  // Walk a few support-preserving row perturbations.
   linalg::Matrix m = start.matrix();
   util::Rng rng(77);
-  for (int step = 0; step < 5; ++step) {
+  for (int step = 0; step < 6; ++step) {
+    const markov::TransitionMatrix p(m);
+    const auto got =
+        markov::try_resolvent_analysis(p, markov::SolvePolicy::kSparse);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_TRUE(got->sparse) << "step " << step;  // G came from the ladder
+    const markov::ChainAnalysis ref =
+        test::unwrap(markov::try_analyze_chain(p, markov::SolvePolicy::kDense));
+    EXPECT_LE(max_abs_gap(got->chain.pi, ref.pi), 1e-10) << "step " << step;
+    EXPECT_LE(max_rel_gap(got->chain.z, ref.z), 1e-10) << "step " << step;
+    EXPECT_LE(max_rel_gap(got->chain.r, ref.r), 1e-10) << "step " << step;
+
     const std::size_t row = static_cast<std::size_t>(
         rng.uniform(0.0, static_cast<double>(m.rows()) - 0.001));
-    linalg::Vector new_row(m.cols(), 0.0);
     double sum = 0.0;
     for (std::size_t j = 0; j < m.cols(); ++j) {
-      // mocos-lint: allow(float-eq) — structural zeros stay zero
-      if (m(row, j) == 0.0) continue;
-      new_row[j] = m(row, j) * (0.5 + rng.uniform());
-      sum += new_row[j];
+      m(row, j) *= 0.5 + rng.uniform();  // structural zeros stay zero
+      sum += m(row, j);
     }
-    for (std::size_t j = 0; j < m.cols(); ++j) new_row[j] /= sum;
-    ASSERT_TRUE(cache.update_row(row, new_row).is_ok());
-    for (std::size_t j = 0; j < m.cols(); ++j) m(row, j) = new_row[j];
-
-    markov::force_sparse_mode(markov::SparseMode::kOff);
-    const markov::ChainAnalysis ref =
-        markov::analyze_chain(markov::TransitionMatrix(m));
-    markov::force_sparse_mode(markov::SparseMode::kOn);
-
-    const markov::ChainAnalysis& got = cache.analysis();
-    EXPECT_LE(max_abs_gap(got.pi, ref.pi), 1e-10) << "step " << step;
-    EXPECT_LE(max_rel_gap(got.z, ref.z), 1e-10) << "step " << step;
-    EXPECT_LE(max_rel_gap(got.r, ref.r), 1e-10) << "step " << step;
+    for (std::size_t j = 0; j < m.cols(); ++j) m(row, j) /= sum;
   }
-  EXPECT_GE(cache.stats().incremental_row_updates, 1u);
 }
 
 TEST(SparseDescent, SupportRestrictedProblemKeepsZerosEndToEnd) {

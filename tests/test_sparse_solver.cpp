@@ -129,7 +129,8 @@ TEST(StationaryPowerSparse, MatchesDenseStationary) {
   const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
   const auto pi = try_stationary_power_sparse(sp);
   ASSERT_TRUE(pi.ok()) << pi.status().message();
-  const linalg::Vector ref = markov::stationary_distribution(p);
+  const linalg::Vector ref =
+      test::unwrap(markov::try_stationary_distribution(p));
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*pi)[i], ref[i], 1e-10);
 }
 

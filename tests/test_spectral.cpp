@@ -92,7 +92,8 @@ TEST(MixingTime, RejectsBadEps) {
 TEST(Kemeny, StartIndependence) {
   util::Rng rng(321);
   for (int t = 0; t < 10; ++t) {
-    const auto chain = analyze_chain(test::random_positive_chain(5, rng));
+    const auto chain =
+        test::unwrap(try_analyze_chain(test::random_positive_chain(5, rng)));
     const double k0 = kemeny_constant_from_row(chain, 0);
     for (std::size_t i = 1; i < 5; ++i)
       EXPECT_NEAR(kemeny_constant_from_row(chain, i), k0, 1e-9);
@@ -102,7 +103,8 @@ TEST(Kemeny, StartIndependence) {
 TEST(Kemeny, TraceIdentity) {
   util::Rng rng(322);
   for (int t = 0; t < 10; ++t) {
-    const auto chain = analyze_chain(test::random_positive_chain(4, rng));
+    const auto chain =
+        test::unwrap(try_analyze_chain(test::random_positive_chain(4, rng)));
     EXPECT_NEAR(kemeny_constant(chain), kemeny_constant_from_row(chain, 0),
                 1e-9);
   }
@@ -112,18 +114,19 @@ TEST(Kemeny, TwoStateClosedForm) {
   // For chain2(a,b): K = trace(Z) - 1; Z eigenvalues {1, 1/(a+b)} =>
   // trace Z = 1 + 1/(a+b); K = 1/(a+b).
   const double a = 0.3, b = 0.2;
-  const auto chain = analyze_chain(test::chain2(a, b));
+  const auto chain = test::unwrap(try_analyze_chain(test::chain2(a, b)));
   EXPECT_NEAR(kemeny_constant(chain), 1.0 / (a + b), 1e-10);
 }
 
 TEST(Kemeny, UniformChainValue) {
   // Uniform chain on n states: Z = I, so K = trace(Z) - 1 = n - 1.
-  const auto chain = analyze_chain(TransitionMatrix::uniform(6));
+  const auto chain =
+      test::unwrap(try_analyze_chain(TransitionMatrix::uniform(6)));
   EXPECT_NEAR(kemeny_constant(chain), 5.0, 1e-10);
 }
 
 TEST(Kemeny, RowOutOfRangeThrows) {
-  const auto chain = analyze_chain(test::chain3());
+  const auto chain = test::unwrap(try_analyze_chain(test::chain3()));
   EXPECT_THROW(kemeny_constant_from_row(chain, 3), std::out_of_range);
 }
 

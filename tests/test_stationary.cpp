@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/linalg/lu.hpp"
 #include "src/linalg/matrix.hpp"
 #include "tests/helpers.hpp"
 
@@ -11,19 +12,20 @@ namespace {
 TEST(Stationary, TwoStateClosedForm) {
   // pi = (b, a) / (a + b) for chain2(a, b).
   const double a = 0.3, b = 0.2;
-  const auto pi = stationary_distribution(test::chain2(a, b));
+  const auto pi = test::unwrap(try_stationary_distribution(test::chain2(a, b)));
   EXPECT_NEAR(pi[0], b / (a + b), 1e-12);
   EXPECT_NEAR(pi[1], a / (a + b), 1e-12);
 }
 
 TEST(Stationary, UniformChainIsUniform) {
-  const auto pi = stationary_distribution(TransitionMatrix::uniform(5));
+  const auto pi =
+      test::unwrap(try_stationary_distribution(TransitionMatrix::uniform(5)));
   for (double x : pi) EXPECT_NEAR(x, 0.2, 1e-12);
 }
 
 TEST(Stationary, SatisfiesFixedPointEquation) {
   const TransitionMatrix p = test::chain3();
-  const auto pi = stationary_distribution(p);
+  const auto pi = test::unwrap(try_stationary_distribution(p));
   const auto pi_p = linalg::mul(pi, p.matrix());
   EXPECT_TRUE(linalg::approx_equal(pi, pi_p, 1e-12));
 }
@@ -32,7 +34,7 @@ TEST(Stationary, SumsToOneAndPositive) {
   util::Rng rng(21);
   for (int t = 0; t < 20; ++t) {
     const auto p = test::random_positive_chain(6, rng);
-    const auto pi = stationary_distribution(p);
+    const auto pi = test::unwrap(try_stationary_distribution(p));
     double s = 0.0;
     for (double x : pi) {
       EXPECT_GT(x, 0.0);
@@ -46,7 +48,7 @@ TEST(Stationary, MatchesPowerIteration) {
   util::Rng rng(22);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
-    const auto direct = stationary_distribution(p);
+    const auto direct = test::unwrap(try_stationary_distribution(p));
     const auto power = stationary_power_iteration(p);
     EXPECT_TRUE(linalg::approx_equal(direct, power, 1e-9));
   }
@@ -55,10 +57,19 @@ TEST(Stationary, MatchesPowerIteration) {
 // --- Degenerate chains through the guarded solver -------------------------
 
 TEST(TryStationary, ErgodicChainMatchesThrowingSolver) {
+  // Reference: the throwing one-shot linalg::solve of
+  // (I - Pᵀ + 𝟙𝟙ᵀ) π = 𝟙, normalized.
   const auto p = test::chain3();
+  linalg::Matrix b(3, 3);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j)
+      b(i, j) = (i == j ? 1.0 : 0.0) - p(j, i) + 1.0;
+  linalg::Vector ref = linalg::solve(b, linalg::Vector(3, 1.0));
+  const double mass = ref[0] + ref[1] + ref[2];
+  for (double& x : ref) x /= mass;
   const auto pi = try_stationary_distribution(p);
   ASSERT_TRUE(pi.ok());
-  EXPECT_TRUE(linalg::approx_equal(*pi, stationary_distribution(p), 1e-12));
+  EXPECT_TRUE(linalg::approx_equal(*pi, ref, 1e-12));
 }
 
 TEST(TryStationary, FullyReducibleChainIsSingular) {
@@ -104,7 +115,7 @@ TEST(TryStationary, PeriodicChainSolvesDirectButFailsPowerIteration) {
   EXPECT_NEAR((*direct)[2], 0.25, 1e-12);
 
   const auto power =
-      try_stationary_distribution(p, StationarySolver::kPowerIteration);
+      try_stationary_distribution(p, SolvePolicy::kPowerIteration);
   ASSERT_FALSE(power.ok());
   EXPECT_EQ(power.status().code(), util::StatusCode::kNotErgodic);
   EXPECT_NE(power.status().message().find("fixed point"), std::string::npos);
@@ -116,7 +127,7 @@ TEST(TryStationary, PowerIterationSolverAgreesOnErgodicChains) {
     const auto p = test::random_positive_chain(5, rng);
     const auto direct = try_stationary_distribution(p);
     const auto power =
-        try_stationary_distribution(p, StationarySolver::kPowerIteration);
+        try_stationary_distribution(p, SolvePolicy::kPowerIteration);
     ASSERT_TRUE(direct.ok());
     ASSERT_TRUE(power.ok());
     EXPECT_TRUE(linalg::approx_equal(*direct, *power, 1e-9));
@@ -128,7 +139,7 @@ class StationarySizeTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(StationarySizeTest, FixedPointAcrossSizes) {
   util::Rng rng(100 + GetParam());
   const auto p = test::random_positive_chain(GetParam(), rng);
-  const auto pi = stationary_distribution(p);
+  const auto pi = test::unwrap(try_stationary_distribution(p));
   EXPECT_TRUE(
       linalg::approx_equal(pi, linalg::mul(pi, p.matrix()), 1e-11));
 }

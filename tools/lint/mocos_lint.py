@@ -6,7 +6,7 @@ project's implicit contracts into machine-checked rules:
 
 Determinism contract (PR 2): results must be bit-identical for any --jobs
 count. Enforced in `src/runtime/`, `src/sim/`, `src/descent/`, `src/multi/`,
-and `src/markov/incremental.*` (the solver cache every descent probe rides):
+and `src/markov/resolvent.*` (the chain solve every descent probe runs):
 
   det-rng        rand()/srand()/std::random_device — ambient entropy breaks
                  replay; draw from util::Rng::stream(i) indexed streams.
@@ -31,7 +31,7 @@ failures:
   raw-solver     throwing solver entry points (lu_factor, stationary_-
                  distribution, fundamental_matrix, group_inverse,
                  first_passage_times, analyze_chain) called in
-                 `src/descent/` or `src/markov/incremental.*` outside the
+                 `src/descent/` or `src/markov/resolvent.*` outside the
                  Try* layer.
   float-eq       exact ==/!= against a floating-point literal anywhere in
                  src/. Either convert to a tolerance check or annotate the
@@ -121,8 +121,8 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 
 # Directories (relative to --root, POSIX separators) under the determinism
 # contract: anything here runs, or is reachable from, indexed parallel work.
-# The incremental solver cache is on the list because every descent probe
-# flows through it: nondeterministic iteration there would break the
+# The resolvent solve is on the list because every descent probe flows
+# through it: nondeterministic iteration there would break the
 # jobs-invariance guarantee end to end. src/obs/ is on the list because its
 # metric values must be jobs-invariant too — its single sanctioned clock
 # site (the trace sink epoch) carries an explicit det-time suppression.
@@ -135,19 +135,19 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 # runtime::parallel_for under the same bit-identical-for-any---jobs
 # contract as the dense pipeline.
 DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
-                     "src/markov/incremental", "src/obs/", "src/serve/",
+                     "src/markov/resolvent", "src/obs/", "src/serve/",
                      "src/sparse/", "src/partition/")
 
 # Descent + recovery code must use the guarded Try* solver layer. The
-# incremental cache sits on the descent hot path and owns the fallback from
-# Sherman-Morrison updates to full re-factorization, so its internals are
-# held to the same try_*-only contract. The serve layer's failure-isolation
+# resolvent solve sits on the descent hot path and owns the fallback from
+# the sparse ladder to the dense factorization, so its internals are held to
+# the same try_*-only contract. The serve layer's failure-isolation
 # promise (a numerical fault costs one structured error response, never the
 # process) only holds if it, too, never touches an unguarded solver. The
 # sparse/partition ladder exists to *fall back* on numerical failure
 # (banded → BiCGSTAB → dense, A/D → power → dense), which is only possible
 # when every rung reports through Status instead of throwing.
-RAW_SOLVER_SCOPE = ("src/descent/", "src/markov/incremental", "src/serve/",
+RAW_SOLVER_SCOPE = ("src/descent/", "src/markov/resolvent", "src/serve/",
                     "src/sparse/", "src/partition/")
 
 # Normative module layer DAG (mirrored in DESIGN.md §13): module -> the set
