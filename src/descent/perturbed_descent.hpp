@@ -7,17 +7,16 @@ namespace mocos::descent {
 
 /// Configuration of the stochastically perturbed algorithm (variant V4).
 struct PerturbedConfig {
-  /// Inner deterministic machinery (line-search parameters, margins, ...).
+  /// Inner deterministic machinery (retry budget, cancellation, and the
+  /// quench's step policy).
   DescentConfig base;
-  /// Standard deviation of the mean-zero Gaussian noise added entrywise to
-  /// [D_P U] before projection. Scaled relative to the gradient's RMS entry
-  /// magnitude when `relative_noise` is true.
-  double noise_sigma = 2.0;
-  bool relative_noise = true;
-  /// Cool the noise on the same logarithmic schedule as the acceptance
-  /// temperature: σ_t = σ0 · log(2)/log(t+2). Strong early perturbations
+  /// Relative standard deviation σ0 of the mean-zero Gaussian noise added
+  /// entrywise to [D_P U] before projection. The noise scales with the
+  /// gradient's RMS entry magnitude (floored at a tenth of the first
+  /// iteration's) and cools on the acceptance temperature's logarithmic
+  /// schedule, σ_t = σ0 · rms · log(2)/log(t+2): strong early perturbations
   /// jump out of local optima; late iterations refine the best basin.
-  bool decay_noise = true;
+  double noise_sigma = 2.0;
   /// The paper's annealing constant k: acceptance probability for a
   /// worsening move is exp(−Δ_U / T(count)) with temperature
   /// T(count) = k / log(count + 2). (The paper prints "k × log(count)", but
@@ -42,11 +41,9 @@ struct PerturbedConfig {
 struct PerturbedResult {
   markov::TransitionMatrix best_p;  // best iterate seen
   double best_cost = 0.0;
-  markov::TransitionMatrix final_p;  // last accepted iterate
-  double final_cost = 0.0;
+  double final_cost = 0.0;  // cost of the last accepted iterate
+  /// Stochastic-phase passes, failed and pinned ones included.
   std::size_t iterations = 0;
-  std::size_t accepted_worsening = 0;  // annealing "jumps" taken
-  std::size_t random_steps = 0;        // Δt* = 0 escapes via random Δt
   Trace trace;
   /// Why the stochastic phase ended: kMaxIterations, kStallLimit, or
   /// kNumericalFailure when the recovery ladder ran out of retries (the

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "src/cost/composite_cost.hpp"
-#include "src/descent/line_search.hpp"
 #include "src/descent/recovery.hpp"
 #include "src/descent/trace.hpp"
 #include "src/markov/resolvent.hpp"
@@ -28,7 +26,6 @@ enum class StopReason {
   kMaxIterations,
   kGradientTolerance,  // |Π[D_P U]|_F below tolerance
   kNoDescentStep,      // line search returned Δt* = 0 (local optimum)
-  kCostTolerance,      // relative cost change below tolerance
   kStallLimit,         // perturbed run: no best-cost improvement for too long
   kNumericalFailure,   // recovery ladder exhausted its retry budget; the
                        // result carries the last good iterate and a populated
@@ -46,45 +43,20 @@ struct DescentConfig {
   /// conjugacy rationale); validated at construction.
   DirectionPolicy direction_policy = DirectionPolicy::kSteepest;
   double constant_step = 1e-6;       // the paper's Δt for V1
-  /// Stability guard for the constant-step policy: no single entry of P may
-  /// move more than this per iteration. Near the simplex boundary the
-  /// barrier gradient grows like 1/p, and Δt·∇U would otherwise catapult an
-  /// entry across the box in one step (the failure mode the paper avoids by
-  /// choosing Δt = 1e-6). The cap leaves ordinary steps untouched.
-  double max_entry_change = 0.05;
-  LineSearchConfig line_search;      // V3 parameters
   std::size_t max_iterations = 20000;
-  double gradient_tolerance = 1e-12;
-  /// Relative |ΔU|/max(|U|,1) over a full iteration below which we stop;
-  /// 0 disables the test (the paper's V1 runs a fixed iteration budget).
-  double cost_tolerance = 0.0;
-  /// Entries of P are kept within [margin, 1-margin]; preserves ergodicity
-  /// and keeps the barrier finite along the whole trajectory.
-  double probability_margin = 1e-12;
   /// Record the per-iteration trace (disable for bulk CDF experiments).
   bool keep_trace = true;
-
-  // --- Recovery ladder (numerical-failure containment) -------------------
-  /// Consecutive failed evaluations tolerated before the run stops with
-  /// StopReason::kNumericalFailure. 0 disables recovery entirely (a failure
-  /// stops the run immediately, still without throwing).
+  /// Consecutive failed evaluations the recovery ladder (DESIGN.md §7.2)
+  /// tolerates before the run stops with StopReason::kNumericalFailure.
+  /// 0 disables recovery entirely (a failure stops the run immediately,
+  /// still without throwing).
   std::size_t recovery_retry_budget = 6;
-  /// Trial-step shrink factor applied on each failed evaluation; the scale
-  /// recovers geometrically on success.
-  double recovery_step_backoff = 0.25;
-  /// From the second consecutive failure on, the iterate is re-projected
-  /// into the simplex interior with probability_margin widened by this
-  /// factor (bounded by recovery_margin_cap), pulling the chain away from
-  /// the boundary where the barrier and ergodicity break down.
-  double recovery_margin_growth = 16.0;
-  double recovery_margin_cap = 1e-4;
-
-  // --- Cooperative cancellation (serve) ----------------------------------
-  /// Polled once per iteration (cheap next to an O(M²) probe); returning
-  /// true stops the run with StopReason::kCancelled and the best iterate so
-  /// far. The functor must be wall-clock-free from the descent's point of
-  /// view: any clock lives behind it (mocos_serve's deadline check), so this
-  /// file stays inside the determinism lint scope.
+  /// Cooperative cancellation (serve): polled once per iteration (cheap
+  /// next to an O(M²) probe); returning true stops the run with
+  /// StopReason::kCancelled and the best iterate so far. The functor must be
+  /// wall-clock-free from the descent's point of view: any clock lives
+  /// behind it (mocos_serve's deadline check), so this file stays inside the
+  /// determinism lint scope.
   std::function<bool()> should_stop;
 };
 
@@ -129,10 +101,5 @@ class SteepestDescent {
 markov::TransitionMatrix apply_step(const markov::TransitionMatrix& p,
                                     const linalg::Matrix& v, double t,
                                     double margin);
-
-/// Clamps all entries of P into [margin, 1-margin] and renormalizes rows —
-/// the recovery ladder's "pull the iterate off the simplex boundary" rung.
-markov::TransitionMatrix reproject_interior(const markov::TransitionMatrix& p,
-                                            double margin);
 
 }  // namespace mocos::descent

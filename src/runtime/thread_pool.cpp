@@ -85,11 +85,12 @@ void TaskGroup::run(std::function<void()> task) {
     } catch (...) {
       error = std::current_exception();
     }
-    {
-      util::MutexLock lock(mu_);
-      if (error) errors_.emplace_back(index, error);
-      ++finished_;
-    }
+    // Notify while holding mu_: once finished_ reaches submitted_ and the
+    // lock drops, a waiter may return from wait() and destroy this group,
+    // done_cv_ included, so no member may be touched after the unlock.
+    util::MutexLock lock(mu_);
+    if (error) errors_.emplace_back(index, error);
+    ++finished_;
     done_cv_.notify_all();
   });
 }
