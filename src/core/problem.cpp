@@ -133,8 +133,10 @@ cost::CompositeCost Problem::make_cost(
 cost::Metrics Problem::metrics_of(const markov::TransitionMatrix& p) const {
   // Guarded analysis so callers evaluating an arbitrary schedule (e.g. the
   // CLI's load_schedule audit path) get a structured numerical-failure error
-  // for reducible/degenerate chains instead of a bare runtime_error.
-  util::StatusOr<markov::ChainAnalysis> chain = markov::try_analyze_chain(p);
+  // for reducible/degenerate chains instead of a bare runtime_error. Every
+  // metric, exposure included, is a function of (π, P).
+  util::StatusOr<markov::ChainAnalysis> chain = markov::try_analyze_chain(
+      p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary);
   if (!chain.ok()) throw util::StatusError(chain.status());
   return cost::compute_metrics(*chain, tensors_, targets());
 }

@@ -19,6 +19,12 @@ const CostTerm& CompositeCost::term(std::size_t i) const {
   return *terms_[i];
 }
 
+bool CompositeCost::needs_fundamental() const {
+  for (const auto& t : terms_)
+    if (t->needs_fundamental()) return true;
+  return false;
+}
+
 double CompositeCost::value(const markov::ChainAnalysis& chain) const {
   double u = 0.0;
   // The per-term phase splits only exist while a profiler is installed:
@@ -37,7 +43,9 @@ double CompositeCost::value(const markov::ChainAnalysis& chain) const {
 }
 
 double CompositeCost::value(const markov::TransitionMatrix& p) const {
-  return value(markov::try_analyze_chain(p).value());
+  return value(markov::try_analyze_chain(p, markov::SolvePolicy::kAuto,
+                                         analysis_level())
+                   .value());
 }
 
 Partials CompositeCost::partials(const markov::ChainAnalysis& chain) const {

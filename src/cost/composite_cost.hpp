@@ -18,12 +18,19 @@ class CompositeCost {
   std::size_t num_terms() const { return terms_.size(); }
   const CostTerm& term(std::size_t i) const;
 
+  /// True when any term reads Z: the analysis level the cost needs.
+  bool needs_fundamental() const;
+  markov::AnalysisLevel analysis_level() const {
+    return needs_fundamental() ? markov::AnalysisLevel::kFundamental
+                               : markov::AnalysisLevel::kStationary;
+  }
+
   /// Total cost at an analyzed chain; +infinity if any term diverges (e.g.
   /// barrier at the boundary).
   double value(const markov::ChainAnalysis& chain) const;
 
-  /// Convenience: analyzes the chain internally (markov::try_analyze_chain);
-  /// a failed analysis throws util::StatusError.
+  /// Convenience: analyzes the chain internally (markov::try_analyze_chain,
+  /// at analysis_level()); a failed analysis throws util::StatusError.
   double value(const markov::TransitionMatrix& p) const;
 
   /// Sum of per-term partials (∂U/∂π, ∂U/∂Z, ∂U/∂P).
@@ -31,6 +38,7 @@ class CompositeCost {
 
   /// As partials(), but clears and refills a caller-owned buffer (which must
   /// match the chain's size) — no per-probe allocations in gradient loops.
+  /// A buffer built without ∂U/∂Z serves a cost that does not need Z.
   void partials_into(const markov::ChainAnalysis& chain, Partials& out) const;
 
   /// Per-term breakdown, for reporting.

@@ -40,7 +40,7 @@ EventCaptureTerm::EventCaptureTerm(std::vector<double> rates, double duration,
 double EventCaptureTerm::mean_hitting_from_stationarity(
     const markov::ChainAnalysis& chain, std::size_t i) {
   const double pi = std::max(chain.pi[i], kMinMass);
-  return chain.z(i, i) / pi - 1.0;
+  return chain.fundamental()(i, i) / pi - 1.0;
 }
 
 linalg::Vector EventCaptureTerm::per_poi_capture(
@@ -82,6 +82,7 @@ void EventCaptureTerm::accumulate_partials(const markov::ChainAnalysis& chain,
   //   ∂F/∂π    = 1 − g + q · g'(w) · ∂w/∂π,
   //   ∂w/∂π    = (−(π q) − (z_ii − π)(1 − 2π)) / (π q)²,
   //   g'(w)    = −e^{−d/w} · d / w².
+  const linalg::Matrix& z = chain.fundamental();
   for (std::size_t i = 0; i < n; ++i) {
     const double lambda = rates_[i];
     // Exact on purpose: rate == 0 means no event stream at this PoI by
@@ -92,7 +93,7 @@ void EventCaptureTerm::accumulate_partials(const markov::ChainAnalysis& chain,
     const double pi = std::max(chain.pi[i], kMinMass);
     const double q = std::max(1.0 - pi, kMinMass);
     const double piq = pi * q;
-    const double w_raw = (chain.z(i, i) - pi) / piq;
+    const double w_raw = (z(i, i) - pi) / piq;
     const double w = std::max(w_raw, kMinWait);
     const double g = 1.0 - std::exp(-duration_ / w);
     double df_dz = 0.0;
@@ -100,7 +101,7 @@ void EventCaptureTerm::accumulate_partials(const markov::ChainAnalysis& chain,
     if (w_raw > kMinWait) {
       const double gprime = -std::exp(-duration_ / w) * duration_ / (w * w);
       const double dw_dpi =
-          (-piq - (chain.z(i, i) - pi) * (1.0 - 2.0 * pi)) / (piq * piq);
+          (-piq - (z(i, i) - pi) * (1.0 - 2.0 * pi)) / (piq * piq);
       df_dz = gprime / pi;
       df_dpi += q * gprime * dw_dpi;
     }

@@ -43,6 +43,7 @@ class EventCaptureTerm final : public CostTerm {
   EventCaptureTerm(std::vector<double> rates, double duration, double weight);
 
   std::string name() const override { return "event_capture"; }
+  bool needs_fundamental() const override { return true; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

@@ -31,15 +31,9 @@ linalg::Vector ExposureTerm::compute_mean_exposures(
     const markov::ChainAnalysis& chain) {
   const std::size_t n = chain.p.size();
   linalg::Vector e(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double h = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      // R_ji = (z_ii - z_ji)/π_i for j != i.
-      h += chain.p(i, j) * (chain.z(i, i) - chain.z(j, i));
-    }
-    e[i] = h / (chain.pi[i] * hold_probability(chain, i));
-  }
+  // Kac's return-time identity Σ_{j≠i} p_ij R_ji = 1/π_i − 1 closes Eq. 3.
+  for (std::size_t i = 0; i < n; ++i)
+    e[i] = (1.0 - chain.pi[i]) / (chain.pi[i] * hold_probability(chain, i));
   return e;
 }
 
@@ -67,12 +61,10 @@ void ExposureTerm::accumulate_weighted_exposure_partials(
         "accumulate_weighted_exposure_partials: weight size mismatch");
   const linalg::Vector e = compute_mean_exposures(chain);
   // dU = Σ_i g_i dĒ_i with g_i = dcost_dexposure[i] and, writing
-  // s_i = 1 - p_ii:
-  //   ∂Ē_i/∂π_i       = -Ē_i / π_i
-  //   ∂Ē_i/∂p_ii      =  Ē_i / s_i
-  //   ∂Ē_i/∂p_ij      = (z_ii - z_ji)/(π_i s_i)          (j ≠ i)
-  //   ∂Ē_i/∂z_ii      = Σ_{j≠i} p_ij /(π_i s_i) = 1/π_i
-  //   ∂Ē_i/∂z_ji      = -p_ij /(π_i s_i)                 (j ≠ i)
+  // s_i = 1 - p_ii and Ē_i = (1 − π_i)/(π_i s_i):
+  //   ∂Ē_i/∂π_i  = -1 / (π_i² s_i)
+  //   ∂Ē_i/∂p_ii =  Ē_i / s_i
+  // and nothing else: Ē_i depends on the rest of P only through π.
   for (std::size_t i = 0; i < n; ++i) {
     const double w = dcost_dexposure[i];
     // Exact on purpose: every partial below is scaled by w, so skipping an
@@ -80,15 +72,9 @@ void ExposureTerm::accumulate_weighted_exposure_partials(
     // mocos-lint: allow(float-eq)
     if (w == 0.0) continue;
     const double s = hold_probability(chain, i);
-    const double inv_pis = 1.0 / (chain.pi[i] * s);
-    out.du_dpi[i] += w * (-e[i] / chain.pi[i]);
+    const double pi = chain.pi[i];
+    out.du_dpi[i] += w * (-1.0 / (pi * pi * s));
     out.du_dp(i, i) += w * (e[i] / s);
-    out.du_dz(i, i) += w * ((1.0 - chain.p(i, i)) * inv_pis);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      out.du_dp(i, j) += w * (chain.z(i, i) - chain.z(j, i)) * inv_pis;
-      out.du_dz(j, i) += w * (-chain.p(i, j) * inv_pis);
-    }
   }
 }
 

@@ -9,8 +9,12 @@ namespace mocos::cost {
 /// Exposure-time objective (the β part of Eq. 4/9):
 ///
 ///   U_exp = Σ_i ½ β_i Ē_i²,
-///   Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii),
-///   R_ji = (δ_ji − z_ji + z_ii)/π_i   (unit-transition first passage time).
+///   Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii)           (Eq. 3)
+///       = (1 − π_i) / (π_i (1 − p_ii)),
+///
+/// the closed form by Kac's return-time identity Σ_{j≠i} p_ij R_ji =
+/// 1/π_i − 1 (one step out of i, then the passage back: R_ii = 1/π_i). The
+/// term is therefore a function of (π, P) alone and needs no Z.
 ///
 /// Ē_i is the expected length (in transitions) of a continuous interval
 /// during which PoI i is out of the sensor's range, measured from the PoI
@@ -39,7 +43,8 @@ class ExposureTerm final : public CostTerm {
   /// the outer derivative ∂U/∂Ē_i of whatever scalar U the caller built from
   /// the mean exposures. This factors the Ē_i partial formulas out of the
   /// quadratic exposure objective so other exposure-derived terms (e.g. the
-  /// smooth-max MinimaxExposureTerm) reuse them instead of re-deriving.
+  /// smooth-max MinimaxExposureTerm) reuse them instead of re-deriving. Only
+  /// the π and P channels are written; ∂U/∂Z is left untouched.
   static void accumulate_weighted_exposure_partials(
       const markov::ChainAnalysis& chain,
       const linalg::Vector& dcost_dexposure, Partials& out);

@@ -48,7 +48,7 @@ double MinimaxExposureTerm::value(const markov::ChainAnalysis& chain) const {
 
 void MinimaxExposureTerm::accumulate_partials(
     const markov::ChainAnalysis& chain, Partials& out) const {
-  // ∂U/∂Ē_i = weight·σ_i; the Ē_i → (π, Z, P) chain is shared with the
+  // ∂U/∂Ē_i = weight·σ_i; the Ē_i → (π, P) chain is shared with the
   // quadratic exposure term.
   linalg::Vector g = softmax_weights(chain);
   for (std::size_t i = 0; i < g.size(); ++i) g[i] *= weight_;

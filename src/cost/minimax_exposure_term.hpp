@@ -12,7 +12,8 @@ namespace mocos::cost {
 ///   smax_β(Ē) = (1/β) log Σ_i exp(β Ē_i)  ∈  [max_i Ē_i,
 ///                                             max_i Ē_i + log(M)/β],
 ///
-/// with the per-PoI mean exposures Ē_i of Eq. 3. As the temperature β grows
+/// with the per-PoI mean exposures Ē_i of Eq. 3 in ExposureTerm's closed
+/// form, so the term needs π and P only. As the temperature β grows
 /// the term converges to the hard worst-case max_i Ē_i while staying C^∞,
 /// so the steepest-descent machinery applies unchanged; β is annealable
 /// stage-wise via the `smoothmax_beta_final` / `smoothmax_anneal_stages`

@@ -17,10 +17,9 @@ void Partials::clear() {
   const std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) du_dpi[i] = 0.0;
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      du_dz(i, j) = 0.0;
-      du_dp(i, j) = 0.0;
-    }
+    for (std::size_t j = 0; j < n; ++j) du_dp(i, j) = 0.0;
+  for (std::size_t i = 0; i < du_dz.rows(); ++i)
+    for (std::size_t j = 0; j < du_dz.cols(); ++j) du_dz(i, j) = 0.0;
 }
 
 }  // namespace mocos::cost

@@ -17,22 +17,36 @@ namespace mocos::descent {
 /// accepted step's gradient re-analyzing the line search's final probe)
 /// costs no solve. A descent step moves every row of P, so anything but an
 /// exact repeat is a fresh solve.
+///
+/// The evaluator picks the analysis level once, from the cost: π alone
+/// (one factorization plus one solve per probe) unless a term declares
+/// that it reads Z (cost::CostTerm::needs_fundamental).
 class CachedCostEvaluator {
  public:
   explicit CachedCostEvaluator(const cost::CompositeCost& cost);
 
   /// U_ε(p) through the memo, or +infinity when the chain analysis or cost
   /// evaluation fails (non-ergodic probe, singular system), so searches
-  /// treat such points as infeasible.
+  /// treat such points as infeasible. markov::MissingFundamentalError — a
+  /// term that reads Z without declaring it — propagates instead.
   [[nodiscard]] double cost_at(const markov::TransitionMatrix& p);
 
   /// Guarded chain analysis for gradient evaluations. The default policy is
   /// the memoized resolvent route; any other policy (the recovery ladder's
-  /// power-iteration rung) runs markov::try_analyze_chain and bypasses the
-  /// memo. The pointer stays valid until the next call on this evaluator.
+  /// power-iteration rung) bypasses the memo. The pointer stays valid until
+  /// the next call on this evaluator.
   [[nodiscard]] util::StatusOr<const markov::ChainAnalysis*> analyze(
       const markov::TransitionMatrix& p,
       markov::SolvePolicy policy = markov::SolvePolicy::kAuto);
+
+  /// The factorization behind the last analyze() result when that analysis
+  /// is π-only, for the gradient's π-channel solve; null otherwise. Valid as
+  /// long as that result.
+  [[nodiscard]] const markov::Resolvent* resolvent() const {
+    return analyzed_ != nullptr && analyzed_->resolvent
+               ? &*analyzed_->resolvent
+               : nullptr;
+  }
 
   /// Solve and memo-hit counts of this evaluator's probes.
   [[nodiscard]] const markov::ChainSolveStats& stats() const {
@@ -45,16 +59,18 @@ class CachedCostEvaluator {
   [[nodiscard]] util::Status refresh(const markov::TransitionMatrix& p);
 
   const cost::CompositeCost& cost_;
-  std::optional<markov::ChainAnalysis> memo_;
-  std::optional<markov::ChainAnalysis> fallback_;  // off-default-route results
+  const markov::AnalysisLevel level_;  // what the cost's terms read
+  std::optional<markov::ResolventAnalysis> memo_;
+  std::optional<markov::ResolventAnalysis> fallback_;  // off-default route
+  const markov::ResolventAnalysis* analyzed_ = nullptr;  // last analyze()
   markov::ChainSolveStats stats_;
 };
 
 /// Adds a finished evaluator's counters to the current metrics registry
-/// (chain_cache.full_solves, .sparse_full_solves, .exact_hits); no-op when
-/// metrics are off. Called once per evaluator at the end of a descent run —
-/// counters are commutative, so this is jobs-invariant wherever the run
-/// executed.
+/// (chain_cache.full_solves, .sparse_full_solves, .fundamental_solves,
+/// .exact_hits); no-op when metrics are off. Called once per evaluator at
+/// the end of a descent run — counters are commutative, so this is
+/// jobs-invariant wherever the run executed.
 void record_cache_metrics(const markov::ChainSolveStats& stats);
 
 }  // namespace mocos::descent

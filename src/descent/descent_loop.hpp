@@ -117,8 +117,10 @@ class DescentLoop {
       {
         obs::ScopedPhase phase("gradient_assembly");
         grad = driver_ == Driver::kSteepest
-                   ? cost::projected_cost_gradient(cost_, **chain)
-                   : cost::cost_gradient(cost_, **chain);
+                   ? cost::projected_cost_gradient(cost_, **chain,
+                                                   evaluator_.resolvent())
+                   : cost::cost_gradient(cost_, **chain,
+                                         evaluator_.resolvent());
       }
       // The trace reports this iterate's per-term breakdown; take it now,
       // since the driver's probes replace the evaluator's analysis.

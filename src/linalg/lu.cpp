@@ -120,6 +120,28 @@ Vector LuDecomposition::solve(const Vector& b) const {
   return x;
 }
 
+Vector LuDecomposition::solve_transposed(const Vector& b) const {
+  const std::size_t n = size();
+  if (b.size() != n)
+    throw std::invalid_argument("LU::solve_transposed: size mismatch");
+  // PA = LU gives Aᵀ = Uᵀ Lᵀ P: forward substitution with Uᵀ, back
+  // substitution with the unit-upper Lᵀ, then x[perm_[i]] = y[i].
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t j = 0; j < i; ++j) s -= lu_(j, i) * y[j];
+    y[i] = s / lu_(i, i);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    double s = y[i];
+    for (std::size_t j = i + 1; j < n; ++j) s -= lu_(j, i) * y[j];
+    y[i] = s;
+  }
+  Vector x(n);
+  for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = y[i];
+  return x;
+}
+
 Matrix LuDecomposition::solve(const Matrix& b) const {
   if (b.rows() != size())
     throw std::invalid_argument("LU::solve: row count mismatch");

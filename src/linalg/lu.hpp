@@ -54,6 +54,10 @@ class LuDecomposition {
   /// Solves A x = b.
   [[nodiscard]] Vector solve(const Vector& b) const;
 
+  /// Solves Aᵀ x = b with the same factors (Uᵀ, then Lᵀ, then the row
+  /// permutation undone), so one factorization serves both sides.
+  [[nodiscard]] Vector solve_transposed(const Vector& b) const;
+
   /// Solves A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 

@@ -43,8 +43,24 @@ util::StatusOr<linalg::Matrix> try_fundamental_matrix(
   return z;
 }
 
+const linalg::Matrix& ChainAnalysis::fundamental() const {
+  if (z.empty())
+    throw MissingFundamentalError(
+        "ChainAnalysis: Z read from a pi-only analysis (a cost term reads Z "
+        "without declaring needs_fundamental())");
+  return z;
+}
+
+const linalg::Matrix& ChainAnalysis::passage_times() const {
+  if (r.empty())
+    throw MissingFundamentalError(
+        "ChainAnalysis: R read from a pi-only analysis");
+  return r;
+}
+
 util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
-                                                SolvePolicy policy) {
+                                                SolvePolicy policy,
+                                                AnalysisLevel level) {
   util::Status input = util::check_row_stochastic(p.matrix());
   if (!input.is_ok()) return input;
 
@@ -56,7 +72,7 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
   if (routes_sparse(policy, p.matrix())) {
     partition::SparseSolveStats sparse_stats;
     util::StatusOr<ChainAnalysis> sparse_result =
-        partition::try_sparse_analyze_chain(p, {}, {}, &sparse_stats);
+        partition::try_sparse_analyze_chain(p, {}, {}, &sparse_stats, level);
     if (sparse_result.ok()) {
       obs::count("markov.sparse.solves");
       obs::gauge_set("markov.sparse.bandwidth",
@@ -73,6 +89,13 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
 
   util::StatusOr<linalg::Vector> pi = try_stationary_distribution(p, policy);
   if (!pi.ok()) return pi.status();
+  if (level == AnalysisLevel::kStationary) {
+    // The passage times' guard, kept for the consumers of a π-only
+    // analysis: every closed form divides by π_i.
+    util::Status positive = util::check_strictly_positive(*pi, "pi");
+    if (!positive.is_ok()) return positive;
+    return ChainAnalysis{p, std::move(*pi), {}, {}};
+  }
 
   util::StatusOr<linalg::Matrix> z =
       try_fundamental_matrix(p.matrix(), *pi);

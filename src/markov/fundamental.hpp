@@ -1,5 +1,7 @@
 #pragma once
 
+#include <stdexcept>
+
 #include "src/linalg/matrix.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/markov/transition_matrix.hpp"
@@ -20,22 +22,55 @@ namespace mocos::markov {
 /// W = 𝟙πᵀ.
 [[nodiscard]] linalg::Matrix stationary_rows(const linalg::Vector& pi);
 
+/// How much of a chain an analysis computes. Every cost term except event
+/// capture is a function of (π, P) alone (exposure through Kac's
+/// return-time identity, DESIGN.md §9.4), so the descent analyzes at
+/// kStationary unless a term declares that it reads Z.
+enum class AnalysisLevel {
+  kStationary,   // π only: one factorization plus one solve
+  kFundamental,  // π, the fundamental matrix Z and the passage times R
+};
+
+/// Thrown when code reads Z or R from an analysis made at
+/// AnalysisLevel::kStationary: a cost term that reads Z without declaring
+/// it. A programming error, so the descent's probe evaluator lets it
+/// propagate instead of scoring the probe +infinity.
+class MissingFundamentalError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 /// One-stop analysis of an ergodic chain: everything the cost function and
-/// its gradient need, computed once per optimizer iteration.
+/// its gradient need, computed once per probe.
 struct ChainAnalysis {
   TransitionMatrix p;
   linalg::Vector pi;   // stationary distribution
-  linalg::Matrix z;    // fundamental matrix
-  linalg::Matrix r;    // expected first passage times R_ij (Eq. 8)
+  /// The fundamental matrix and the expected first passage times R_ij
+  /// (Eq. 8); both empty (0×0) at AnalysisLevel::kStationary. Library code
+  /// reads them through fundamental() and passage_times(), which refuse an
+  /// analysis that skipped them.
+  linalg::Matrix z;
+  linalg::Matrix r;
+
+  [[nodiscard]] AnalysisLevel level() const {
+    return z.empty() ? AnalysisLevel::kStationary
+                     : AnalysisLevel::kFundamental;
+  }
+  /// Z, or MissingFundamentalError at AnalysisLevel::kStationary.
+  [[nodiscard]] const linalg::Matrix& fundamental() const;
+  /// R, or MissingFundamentalError at AnalysisLevel::kStationary.
+  [[nodiscard]] const linalg::Matrix& passage_times() const;
 };
 
 /// Guarded chain analysis. Chains `policy` routes sparse go through
 /// partition::try_sparse_analyze_chain (resolvent ladder plus a block A/D
 /// cross-check on π); everything else, and any sparse failure, runs the
-/// stationary solve `policy` selects, then the fundamental-matrix inversion
-/// and passage times, validating each stage. The first failure is returned
-/// as a structured Status instead of an exception or NaN-laden result.
+/// stationary solve `policy` selects and, at AnalysisLevel::kFundamental,
+/// the fundamental-matrix inversion and passage times, validating each
+/// stage. The first failure is returned as a structured Status instead of
+/// an exception or NaN-laden result.
 [[nodiscard]] util::StatusOr<ChainAnalysis> try_analyze_chain(
-    const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
+    const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto,
+    AnalysisLevel level = AnalysisLevel::kFundamental);
 
 }  // namespace mocos::markov

@@ -3,11 +3,10 @@
 #include <utility>
 
 #include "src/linalg/guard.hpp"
-#include "src/linalg/lu.hpp"
 #include "src/markov/passage_times.hpp"
+#include "src/markov/stationary.hpp"
 #include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
-#include "src/partition/block_solver.hpp"
 #include "src/sparse/sparse_matrix.hpp"
 
 namespace mocos::markov {
@@ -27,70 +26,132 @@ linalg::Matrix resolvent_system(const linalg::Matrix& p) {
   return m;
 }
 
+void trace_sparse_fallback() {
+  if (obs::trace_active())
+    obs::trace_instant("chain_cache.fallback", "markov",
+                       obs::TraceArgs().str("kind", "sparse-ladder"));
+}
+
+}  // namespace
+
+util::StatusOr<Resolvent> Resolvent::try_factor(const linalg::Matrix& p,
+                                                SolvePolicy policy) {
+  const std::size_t n = p.rows();
+  const linalg::Vector c(n, 1.0 / static_cast<double>(n));
+  Resolvent res;
+  if (routes_sparse(policy, p)) {
+    util::StatusOr<partition::SparseResolvent> sparse =
+        partition::SparseResolvent::try_factor(
+            sparse::SparseMatrix::from_dense(p), c);
+    if (sparse.ok()) {
+      util::StatusOr<linalg::Vector> pi = sparse->try_stationary();
+      if (pi.ok()) {
+        res.sparse_.emplace(std::move(*sparse));
+        res.pi_ = std::move(*pi);
+        return res;
+      }
+    }
+    trace_sparse_fallback();
+  }
+  util::StatusOr<linalg::LuDecomposition> lu =
+      linalg::LuDecomposition::try_factor(resolvent_system(p));
+  if (!lu.ok()) return lu.status();
+  // πᵀA = cᵀ: one transposed solve against the same factors.
+  res.pi_ = lu->solve_transposed(c);
+  double sum = 0.0;
+  for (double x : res.pi_) sum += x;
+  for (double& x : res.pi_) x /= sum;
+  util::Status finite = util::check_finite(res.pi_, "resolvent pi");
+  if (!finite.is_ok()) return finite;
+  res.dense_.emplace(std::move(*lu));
+  return res;
+}
+
+util::StatusOr<linalg::Vector> Resolvent::try_fundamental_apply(
+    const linalg::Vector& pi, const linalg::Vector& v) const {
+  linalg::Vector gv;
+  if (sparse_) {
+    util::StatusOr<linalg::Vector> solved = sparse_->try_apply(v);
+    if (!solved.ok()) return solved.status();
+    gv = std::move(*solved);
+  } else {
+    gv = dense_->solve(v);
+  }
+  // Z v = A#v + 𝟙(πᵀv) with A#v = Gv − 𝟙(πᵀGv).
+  double shift = 0.0;
+  for (std::size_t i = 0; i < gv.size(); ++i) shift += pi[i] * (v[i] - gv[i]);
+  for (double& x : gv) x += shift;
+  util::Status finite = util::check_finite(gv, "fundamental product");
+  if (!finite.is_ok()) return finite;
+  return gv;
+}
+
+util::StatusOr<linalg::Matrix> Resolvent::try_inverse() const {
+  if (sparse_) return sparse_->try_inverse();
+  linalg::Matrix g = dense_->inverse();
+  util::Status finite = util::check_finite(g, "resolvent G");
+  if (!finite.is_ok()) return finite;
+  return g;
+}
+
+namespace {
+
+/// The analysis `level` asks for, through `resolvent`.
+util::StatusOr<ResolventAnalysis> analyze_through(Resolvent resolvent,
+                                                  const TransitionMatrix& p,
+                                                  SolvePolicy policy,
+                                                  AnalysisLevel level) {
+  linalg::Vector pi = resolvent.stationary();
+  if (policy == SolvePolicy::kPowerIteration) {
+    util::StatusOr<linalg::Vector> power =
+        try_stationary_distribution(p, SolvePolicy::kPowerIteration);
+    if (!power.ok()) return power.status();
+    pi = std::move(*power);
+  }
+  util::Status positive = util::check_strictly_positive(pi, "resolvent pi");
+  if (!positive.is_ok()) return positive;
+  const bool sparse = resolvent.sparse();
+  if (level == AnalysisLevel::kStationary)
+    return ResolventAnalysis{ChainAnalysis{p, std::move(pi), {}, {}}, sparse,
+                             std::move(resolvent)};
+
+  util::StatusOr<linalg::Matrix> g = resolvent.try_inverse();
+  if (!g.ok()) return g.status();
+  // Z = A# + W with A# = G − 𝟙(πᵀG) (Eqs. 6–7), evaluated in that order.
+  const std::size_t n = pi.size();
+  const linalg::Vector pi_g = linalg::mul(pi, *g);
+  linalg::Matrix z(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) z(i, j) = (*g)(i, j) - pi_g[j] + pi[j];
+  util::StatusOr<linalg::Matrix> r = try_first_passage_times(z, pi);
+  if (!r.ok()) return r.status();
+  return ResolventAnalysis{
+      ChainAnalysis{p, std::move(pi), std::move(z), std::move(*r)}, sparse,
+      std::nullopt};
+}
+
 }  // namespace
 
 util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
-    const TransitionMatrix& p, SolvePolicy policy) {
+    const TransitionMatrix& p, SolvePolicy policy, AnalysisLevel level) {
   obs::ScopedPhase phase("chain.full_solve");
   const linalg::Matrix& m = p.matrix();
   util::Status input = util::check_row_stochastic(m);
   if (!input.is_ok()) return input;
 
-  const std::size_t n = m.rows();
-  const double c = 1.0 / static_cast<double>(n);
-  linalg::Matrix g;
-  bool sparse = false;
-  if (routes_sparse(policy, m)) {
-    // The resolvent ladder produces the same G the dense factorization
-    // would (agreement bounded by conditioning, well inside the 1e-10
-    // parity contract). Failure falls through to the dense factorization —
-    // never a new failure mode.
-    const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(m);
-    util::StatusOr<linalg::Matrix> sparse_g =
-        partition::try_sparse_resolvent(sp, linalg::Vector(n, c));
-    if (sparse_g.ok() && util::all_finite(*sparse_g)) {
-      g = std::move(*sparse_g);
-      sparse = true;
-    } else if (obs::trace_active()) {
-      obs::trace_instant("chain_cache.fallback", "markov",
-                         obs::TraceArgs().str("kind", "sparse-ladder"));
-    }
-  }
-  if (!sparse) {
-    util::StatusOr<linalg::LuDecomposition> lu =
-        linalg::LuDecomposition::try_factor(resolvent_system(m));
-    if (!lu.ok()) return lu.status();
-    g = lu->inverse();
-    util::Status finite = util::check_finite(g, "resolvent G");
-    if (!finite.is_ok()) return finite;
-  }
-
-  // πᵀ = cᵀG: the (scaled) column sums of the resolvent.
-  linalg::Vector pi(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) pi[j] += g(i, j);
-  double sum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    pi[j] *= c;
-    sum += pi[j];
-  }
-  util::Status finite = util::check_finite(pi, "resolvent pi");
-  if (!finite.is_ok()) return finite;
-  util::Status positive = util::check_strictly_positive(pi, "resolvent pi");
-  if (!positive.is_ok()) return positive;
-  // G𝟙 = 𝟙 exactly, so the mass cᵀG𝟙 is 1 up to round-off; renormalize.
-  for (std::size_t j = 0; j < n; ++j) pi[j] /= sum;
-
-  // Z = A# + W with A# = G − 𝟙(πᵀG) (Eqs. 6–7), evaluated in that order.
-  const linalg::Vector pi_g = linalg::mul(pi, g);
-  linalg::Matrix z(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) z(i, j) = g(i, j) - pi_g[j] + pi[j];
-
-  util::StatusOr<linalg::Matrix> r = try_first_passage_times(z, pi);
-  if (!r.ok()) return r.status();
-  return ResolventAnalysis{
-      ChainAnalysis{p, std::move(pi), std::move(z), std::move(*r)}, sparse};
+  util::StatusOr<Resolvent> resolvent = Resolvent::try_factor(m, policy);
+  if (!resolvent.ok()) return resolvent.status();
+  const bool sparse = resolvent->sparse();
+  util::StatusOr<ResolventAnalysis> solved =
+      analyze_through(std::move(*resolvent), p, policy, level);
+  if (solved.ok() || !sparse) return solved;
+  // The sparse ladder agrees with the dense factorization well inside the
+  // 1e-10 parity contract; a failure past the factorization (a stalled
+  // Krylov column of G, a non-positive π) reruns the analysis dense.
+  trace_sparse_fallback();
+  resolvent = Resolvent::try_factor(m, SolvePolicy::kDense);
+  if (!resolvent.ok()) return resolvent.status();
+  return analyze_through(std::move(*resolvent), p, policy, level);
 }
 
 }  // namespace mocos::markov

@@ -1,55 +1,102 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
+#include "src/linalg/lu.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/solve_policy.hpp"
 #include "src/markov/transition_matrix.hpp"
+#include "src/partition/block_solver.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::markov {
 
-/// A chain analysis derived from the resolvent
+/// One factorization of the resolvent system
 ///
-///   G = (I − P + 𝟙cᵀ)⁻¹,   c = 𝟙/M  (fixed, independent of P),
+///   A = I − P + 𝟙cᵀ,   G = A⁻¹,   c = 𝟙/M  (fixed, independent of P),
 ///
-/// which is nonsingular for every irreducible row-stochastic P and from which
-/// all of Eqs. 5–8 follow in O(M²):
+/// which is nonsingular for every irreducible row-stochastic P. Everything
+/// the descent needs of the chain follows from it:
 ///
-///   πᵀ = cᵀG          (stationary distribution, Eq. 5)
-///   A# = G − 𝟙(πᵀG)   (group inverse of A = I − P, Eq. 7)
-///   Z  = A# + 𝟙πᵀ     (Kemeny–Snell fundamental matrix, Eq. 6)
-///   R  from (Z, π)    (first passage times, Eq. 8)
+///   πᵀ = cᵀG          (stationary distribution, Eq. 5: one transposed solve)
+///   Z v = Gv − 𝟙(πᵀGv) + 𝟙(πᵀv)   (Z = A# + 𝟙πᵀ, Eqs. 6–7: one solve)
+///   G                 (one solve per column, for the dense Z and R)
+///
+/// The factorization comes from the sparse ladder (banded LU, then
+/// BiCGSTAB) when the policy routes P sparse and the ladder yields a finite
+/// π, and from a dense LU otherwise (kPowerIteration factors dense).
+class Resolvent {
+ public:
+  /// Factors A for the row-stochastic `p` and solves for π. Fails with the
+  /// dense LU's status (kSingularMatrix for a reducible chain) or
+  /// kNonFiniteValue when π is not finite.
+  [[nodiscard]] static util::StatusOr<Resolvent> try_factor(
+      const linalg::Matrix& p, SolvePolicy policy = SolvePolicy::kAuto);
+
+  /// True when the sparse ladder produced the factorization.
+  [[nodiscard]] bool sparse() const { return sparse_.has_value(); }
+
+  /// π from the factorization: finite, unit mass, positivity unchecked.
+  [[nodiscard]] const linalg::Vector& stationary() const { return pi_; }
+
+  /// Z v for the chain's fundamental matrix, given its stationary `pi`.
+  [[nodiscard]] util::StatusOr<linalg::Vector> try_fundamental_apply(
+      const linalg::Vector& pi, const linalg::Vector& v) const;
+
+  /// The dense resolvent G.
+  [[nodiscard]] util::StatusOr<linalg::Matrix> try_inverse() const;
+
+ private:
+  Resolvent() = default;
+
+  std::optional<linalg::LuDecomposition> dense_;
+  std::optional<partition::SparseResolvent> sparse_;
+  linalg::Vector pi_;
+};
+
+/// A chain analysis made through a Resolvent.
 struct ResolventAnalysis {
   ChainAnalysis chain;
-  bool sparse = false;  // G came from the sparse ladder, not dense LU
+  bool sparse = false;  // the factorization came from the sparse ladder
+  /// The factorization behind an AnalysisLevel::kStationary analysis, kept
+  /// so the gradient's π-channel product Z·∂U/∂π costs one solve; empty at
+  /// kFundamental, where Z is explicit.
+  std::optional<Resolvent> resolvent;
 };
 
 /// The descent's chain solve: every probe the drivers evaluate through
 /// descent::CachedCostEvaluator that is not an exact repeat lands here.
-/// G comes from the sparse ladder (banded LU, then BiCGSTAB) when `policy`
-/// routes P sparse and from a dense LU factorization otherwise, or when the
-/// ladder fails or returns non-finite entries. kPowerIteration routes like
-/// kDense: the resolvent is a direct solve, and the power rung lives in
-/// try_analyze_chain. Failures come back as a Status: a P that is not
-/// row-stochastic, a singular resolvent system, a non-finite G, a non-finite
-/// or non-positive π, or non-finite passage times.
+/// Factors the resolvent (Resolvent::try_factor) and reads π from it; at
+/// AnalysisLevel::kFundamental also builds G, then Z and R. The sparse
+/// ladder falls back to the dense factorization on any failure, never a new
+/// failure mode. kPowerIteration, the recovery ladder's demoted rung, takes
+/// π from power iteration and still factors A for Z. Failures come back as
+/// a Status: a P that is not row-stochastic, a singular resolvent system, a
+/// non-finite G, a non-finite or non-positive π, or non-finite passage
+/// times.
 [[nodiscard]] util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
-    const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
+    const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto,
+    AnalysisLevel level = AnalysisLevel::kFundamental);
 
 /// Counters a caller keeps over its chain solves, exported as the
 /// chain_cache.* metrics. An optimization run can span several evaluators
 /// (the stochastic phase and its quench polish), so they add up.
 struct ChainSolveStats {
-  std::size_t full_solves = 0;         // try_resolvent_analysis completions
-  std::size_t sparse_full_solves = 0;  // subset of full_solves whose G came
-                                       // from the sparse ladder
+  std::size_t full_solves = 0;         // try_resolvent_analysis completions:
+                                       // one complete solve of what the
+                                       // cost needs
+  std::size_t sparse_full_solves = 0;  // subset of full_solves factored on
+                                       // the sparse ladder
+  std::size_t fundamental_solves = 0;  // subset of full_solves that also
+                                       // built Z
   std::size_t exact_hits = 0;          // probes of the P just analyzed,
                                        // answered without a solve
 
   void add(const ChainSolveStats& other) {
     full_solves += other.full_solves;
     sparse_full_solves += other.sparse_full_solves;
+    fundamental_solves += other.fundamental_solves;
     exact_hits += other.exact_hits;
   }
 };

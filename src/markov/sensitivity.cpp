@@ -1,6 +1,10 @@
 #include "src/markov/sensitivity.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "src/markov/resolvent.hpp"
 
 namespace mocos::markov {
 
@@ -8,7 +12,7 @@ linalg::Vector stationary_directional_derivative(const ChainAnalysis& chain,
                                                  const linalg::Matrix& pdot) {
   // dπ = π Ṗ Z   (π as a row vector).
   const linalg::Vector pi_pdot = linalg::mul(chain.pi, pdot);
-  return linalg::mul(pi_pdot, chain.z);
+  return linalg::mul(pi_pdot, chain.fundamental());
 }
 
 linalg::Matrix fundamental_directional_derivative(const ChainAnalysis& chain,
@@ -16,9 +20,10 @@ linalg::Matrix fundamental_directional_derivative(const ChainAnalysis& chain,
   // dZ = Z Ṗ Z - W Ṗ Z². Since W = 𝟙πᵀ, the correction is rank one:
   // W Ṗ Z² = 𝟙 (πᵀ Ṗ Z Z), so three row-vector products replace the cached
   // Z² (which would cost an O(M³) product per chain analysis to maintain).
+  const linalg::Matrix& z = chain.fundamental();
   const linalg::Vector pi_pdot_z2 =
-      linalg::mul(linalg::mul(linalg::mul(chain.pi, pdot), chain.z), chain.z);
-  return chain.z * pdot * chain.z -
+      linalg::mul(linalg::mul(linalg::mul(chain.pi, pdot), z), z);
+  return z * pdot * z -
          linalg::Matrix::outer(linalg::Vector(chain.pi.size(), 1.0),
                                pi_pdot_z2);
 }
@@ -31,12 +36,13 @@ linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
   if (du_dpi.size() != n || du_dz.rows() != n || du_dz.cols() != n ||
       du_dp.rows() != n || du_dp.cols() != n)
     throw std::invalid_argument("chain_rule_gradient: size mismatch");
+  const linalg::Matrix& z = chain.fundamental();
 
   // π-channel: [grad]_kl += π_k * Σ_i z_li ∂U/∂π_i = π_k * (Z du_dpi)_l.
-  const linalg::Vector z_dupi = linalg::mul(chain.z, du_dpi);
+  const linalg::Vector z_dupi = linalg::mul(z, du_dpi);
 
   // Z-channel, term 1: Σ_ij ∂U/∂z_ij z_ik z_lj = (Zᵀ G Zᵀ)_kl with G=du_dz.
-  const linalg::Matrix zt = chain.z.transposed();
+  const linalg::Matrix zt = z.transposed();
   const linalg::Matrix term_zz = zt * du_dz * zt;
 
   // Z-channel, term 2: -π_k Σ_ij ∂U/∂z_ij (Z²)_lj = -π_k (G (Z²)ᵀ summed
@@ -46,8 +52,7 @@ linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
   linalg::Vector col_sum_g(n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) col_sum_g[j] += du_dz(i, j);
-  const linalg::Vector s =
-      linalg::mul(chain.z, linalg::mul(chain.z, col_sum_g));
+  const linalg::Vector s = linalg::mul(z, linalg::mul(z, col_sum_g));
 
   linalg::Matrix grad(n, n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -56,6 +61,49 @@ linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
                    chain.pi[k] * s[l] + du_dp(k, l);
     }
   }
+  return grad;
+}
+
+namespace {
+
+/// Z v without the dense Z: one solve through `resolvent`, or through a
+/// fresh factorization of chain.p's resolvent when it is null.
+util::StatusOr<linalg::Vector> fundamental_product(const ChainAnalysis& chain,
+                                                   const linalg::Vector& v,
+                                                   const Resolvent* resolvent) {
+  if (resolvent != nullptr)
+    return resolvent->try_fundamental_apply(chain.pi, v);
+  util::StatusOr<Resolvent> factored = Resolvent::try_factor(chain.p.matrix());
+  if (!factored.ok()) return factored.status();
+  return factored->try_fundamental_apply(chain.pi, v);
+}
+
+}  // namespace
+
+linalg::Matrix stationary_chain_rule_gradient(const ChainAnalysis& chain,
+                                              const linalg::Vector& du_dpi,
+                                              const linalg::Matrix& du_dp,
+                                              const Resolvent* resolvent) {
+  const std::size_t n = chain.p.size();
+  if (du_dpi.size() != n || du_dp.rows() != n || du_dp.cols() != n)
+    throw std::invalid_argument(
+        "stationary_chain_rule_gradient: size mismatch");
+
+  linalg::Vector z_dupi;
+  if (chain.level() == AnalysisLevel::kFundamental) {
+    z_dupi = linalg::mul(chain.z, du_dpi);
+  } else {
+    util::StatusOr<linalg::Vector> solved =
+        fundamental_product(chain, du_dpi, resolvent);
+    z_dupi = solved.ok()
+                 ? std::move(*solved)
+                 : linalg::Vector(n, std::numeric_limits<double>::quiet_NaN());
+  }
+
+  linalg::Matrix grad(n, n);
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t l = 0; l < n; ++l)
+      grad(k, l) = chain.pi[k] * z_dupi[l] + du_dp(k, l);
   return grad;
 }
 

@@ -5,6 +5,8 @@
 
 namespace mocos::markov {
 
+class Resolvent;
+
 /// Schweitzer (1968) perturbation formulas for an ergodic chain, as used in
 /// the paper's §IV. For a direction Ṗ in transition-matrix space:
 ///
@@ -12,7 +14,8 @@ namespace mocos::markov {
 ///   dZ/dt = Z Ṗ Z - W Ṗ Z²
 ///
 /// These directional forms are used by tests to validate the adjoint
-/// (gradient) combination in cost/gradient.cpp against finite differences.
+/// (gradient) combination in cost/gradient.cpp against finite differences;
+/// they need the analysis's Z (MissingFundamentalError otherwise).
 linalg::Vector stationary_directional_derivative(const ChainAnalysis& chain,
                                                  const linalg::Matrix& pdot);
 
@@ -30,5 +33,17 @@ linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
                                    const linalg::Vector& du_dpi,
                                    const linalg::Matrix& du_dz,
                                    const linalg::Matrix& du_dp);
+
+/// Eq. 10 for a cost that reads (π, P) only, whose Z-channel vanishes:
+///
+///   [D_P U]_kl = π_k (Z ∂U/∂π)_l + ∂U/∂p_kl .
+///
+/// Z ∂U/∂π comes from the analysis's Z when it has one, else from one solve
+/// through `resolvent` (a factorization of chain.p's resolvent; null
+/// refactors it). A failed solve fills the gradient with NaN, which the
+/// descent's finite-gradient check turns into a recovery.
+linalg::Matrix stationary_chain_rule_gradient(
+    const ChainAnalysis& chain, const linalg::Vector& du_dpi,
+    const linalg::Matrix& du_dp, const Resolvent* resolvent = nullptr);
 
 }  // namespace mocos::markov

@@ -86,18 +86,20 @@ std::size_t mixing_time(const TransitionMatrix& p, double eps,
 double kemeny_constant(const ChainAnalysis& chain) {
   // K = Σ_{j≠i} π_j R_ij = trace(Z) - 1 (start-independent); the -1 removes
   // the diagonal contribution π_i R_ii = 1 folded into trace(Z).
+  const linalg::Matrix& z = chain.fundamental();
   double trace = 0.0;
-  for (std::size_t i = 0; i < chain.z.rows(); ++i) trace += chain.z(i, i);
+  for (std::size_t i = 0; i < z.rows(); ++i) trace += z(i, i);
   return trace - 1.0;
 }
 
 double kemeny_constant_from_row(const ChainAnalysis& chain, std::size_t row) {
   const std::size_t n = chain.p.size();
   if (row >= n) throw std::out_of_range("kemeny_constant_from_row");
+  const linalg::Matrix& r = chain.passage_times();
   double k = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     if (j == row) continue;
-    k += chain.pi[j] * chain.r(row, j);
+    k += chain.pi[j] * r(row, j);
   }
   return k;
 }

@@ -3,12 +3,10 @@
 #include <cmath>
 #include <string>
 
-#include "src/linalg/lu.hpp"
-#include "src/linalg/norms.hpp"
-#include "src/partition/block_solver.hpp"
-#include "src/sparse/sparse_matrix.hpp"
-#include "src/util/fault_injection.hpp"
 #include "src/linalg/guard.hpp"
+#include "src/linalg/norms.hpp"
+#include "src/markov/resolvent.hpp"
+#include "src/util/fault_injection.hpp"
 
 namespace mocos::markov {
 
@@ -35,20 +33,17 @@ util::Status finish_distribution(linalg::Vector& pi, double negative_tol) {
   return util::Status::ok();
 }
 
-util::StatusOr<linalg::Vector> try_direct(const TransitionMatrix& p) {
+util::StatusOr<linalg::Vector> try_direct(const TransitionMatrix& p,
+                                          SolvePolicy policy) {
   if (util::fault::fire(util::fault::Site::kStationary))
     return util::Status(util::StatusCode::kSingularMatrix,
                         "stationary solve failed (fault injection)");
-  const std::size_t n = p.size();
-  // B = I - P^T + ones; B pi = 1.
-  linalg::Matrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      b(i, j) = (i == j ? 1.0 : 0.0) - p(j, i) + 1.0;
-  util::StatusOr<linalg::LuDecomposition> lu =
-      linalg::LuDecomposition::try_factor(std::move(b));
-  if (!lu.ok()) return lu.status();
-  linalg::Vector pi = lu->solve(linalg::Vector(n, 1.0));
+  // The descent's own π solve: one factorization of the resolvent system
+  // and one transposed solve, on the sparse ladder where `policy` routes P.
+  util::StatusOr<Resolvent> resolvent =
+      Resolvent::try_factor(p.matrix(), policy);
+  if (!resolvent.ok()) return resolvent.status();
+  linalg::Vector pi = resolvent->stationary();
   const util::Status status = finish_distribution(pi, 1e-9);
   if (!status.is_ok()) return status;
   return pi;
@@ -90,19 +85,8 @@ linalg::Vector stationary_power_iteration(const TransitionMatrix& p,
 
 util::StatusOr<linalg::Vector> try_stationary_distribution(
     const TransitionMatrix& p, SolvePolicy policy) {
-  // Sparse-routed chains go through the block aggregation/disaggregation
-  // solver first; any failure (single block, decoupled blocks, slow A/D
-  // convergence) silently falls through to the dense system. The power
-  // rung is a recovery path and never dispatches sparse.
-  if (routes_sparse(policy, p.matrix())) {
-    const sparse::SparseMatrix sp =
-        sparse::SparseMatrix::from_dense(p.matrix());
-    const partition::Blocks blocks = partition::structural_blocks(sp, {});
-    util::StatusOr<linalg::Vector> pi =
-        partition::try_block_stationary(sp, blocks);
-    if (pi.ok()) return pi;
-  }
-  return policy == SolvePolicy::kPowerIteration ? try_power(p) : try_direct(p);
+  return policy == SolvePolicy::kPowerIteration ? try_power(p)
+                                                : try_direct(p, policy);
 }
 
 }  // namespace mocos::markov

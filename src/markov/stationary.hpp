@@ -16,11 +16,12 @@ namespace mocos::markov {
     double tol = 1e-13);
 
 /// Stationary distribution π of an ergodic chain: the unique probability
-/// vector with π P = π. The dense direct route solves the nonsingular system
-/// (I - Pᵀ + 𝟙𝟙ᵀ) π = 𝟙, which has π as its unique solution for ergodic P;
-/// chains `policy` routes sparse try the block aggregation/disaggregation
-/// solver first. The descent recovery ladder demotes itself to
-/// kPowerIteration after a singular direct solve. Failure modes:
+/// vector with π P = π. The direct route is the descent's own π solve
+/// (markov::Resolvent): one factorization of I − P + 𝟙cᵀ and one transposed
+/// solve, on the sparse ladder (RCM-banded LU) for chains `policy` routes
+/// sparse and by dense LU otherwise or when the ladder fails. The descent
+/// recovery ladder demotes itself to kPowerIteration after a singular
+/// direct solve. Failure modes:
 ///  - kSingularMatrix: the direct system could not be factored;
 ///  - kNotErgodic: the solution has negative mass (reducible chain), or the
 ///    power iteration converged to something that is not a fixed point of P

@@ -25,16 +25,22 @@ const markov::TransitionMatrix& SensorTeam::chain(std::size_t k) const {
 
 std::vector<double> SensorTeam::sensor_coverage(std::size_t k) const {
   const sensing::CoverageTensors tensors(model_);
-  return cost::coverage_shares(markov::try_analyze_chain(chain(k)).value(),
-                               tensors);
+  return cost::coverage_shares(
+      markov::try_analyze_chain(chain(k), markov::SolvePolicy::kAuto,
+                                markov::AnalysisLevel::kStationary)
+          .value(),
+      tensors);
 }
 
 std::vector<double> SensorTeam::combined_coverage() const {
   const sensing::CoverageTensors tensors(model_);
   std::vector<double> not_covered(num_pois(), 1.0);
   for (const auto& p : chains_) {
-    const auto c =
-        cost::coverage_shares(markov::try_analyze_chain(p).value(), tensors);
+    const auto c = cost::coverage_shares(
+        markov::try_analyze_chain(p, markov::SolvePolicy::kAuto,
+                                  markov::AnalysisLevel::kStationary)
+            .value(),
+        tensors);
     for (std::size_t i = 0; i < num_pois(); ++i)
       not_covered[i] *= 1.0 - c[i];
   }

@@ -81,7 +81,10 @@ SensorTeam optimize_team(const core::Problem& problem,
     std::vector<std::vector<double>> shares(sensors);
     runtime::parallel_for(ctx, sensors, [&](std::size_t k) {
       shares[k] = cost::coverage_shares(
-          markov::try_analyze_chain(chains[k]).value(), problem.tensors());
+          markov::try_analyze_chain(chains[k], markov::SolvePolicy::kAuto,
+                                    markov::AnalysisLevel::kStationary)
+              .value(),
+          problem.tensors());
     });
     std::vector<std::vector<double>> residuals(sensors);
     for (std::size_t k = 0; k < sensors; ++k) {

@@ -189,20 +189,21 @@ util::StatusOr<linalg::Vector> try_block_stationary(
           std::to_string(stats->off_block_mass) + ")");
 }
 
-util::StatusOr<linalg::Matrix> try_sparse_resolvent(
+util::StatusOr<SparseResolvent> SparseResolvent::try_factor(
     const sparse::SparseMatrix& p, const linalg::Vector& c,
-    const SparseAnalysisConfig& config, const runtime::ExecutionContext& ctx,
-    SparseSolveStats* stats) {
+    const SparseAnalysisConfig& config, SparseSolveStats* stats) {
   SparseSolveStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const std::size_t n = p.rows();
   if (n < 2 || p.rows() != p.cols() || c.size() != n)
     return util::Status(util::StatusCode::kSizeMismatch,
-                        "try_sparse_resolvent: need square P (n >= 2) and a "
+                        "SparseResolvent: need square P (n >= 2) and a "
                         "matching reference vector");
+  SparseResolvent res;
+  res.c_ = c;
 
   // --- Rung 1: RCM + anchored banded LU + Sherman–Morrison. --------------
-  const std::vector<std::size_t> perm = bandwidth_ordering(p);
+  std::vector<std::size_t> perm = bandwidth_ordering(p);
   const std::size_t bandwidth = pattern_bandwidth(p, perm);
   stats->bandwidth = bandwidth;
   const auto cap = static_cast<std::size_t>(
@@ -227,40 +228,102 @@ util::StatusOr<linalg::Matrix> try_sparse_resolvent(
         sparse::BandedResolventLu::try_factor(permuted, c_perm, bandwidth);
     if (lu.ok()) {
       // G = B⁻¹ − w(cᵀB⁻¹·)/denom with w = B⁻¹(𝟙 − e_{n−1}) and
-      // denom = 1 + cᵀw; per column j, G e_j = g − w(cᵀg)/denom.
+      // denom = 1 + cᵀw.
       linalg::Vector w(n, 1.0);
       w[n - 1] = 0.0;
       lu->solve_inplace(w);
       double denom = 1.0;
       for (std::size_t i = 0; i < n; ++i) denom += c_perm[i] * w[i];
       if (std::isfinite(denom) && std::abs(denom) > kAnchorDenominatorFloor) {
-        linalg::Matrix g_perm(n, n, 0.0);
-        runtime::parallel_for(ctx, n, [&](std::size_t j) {
-          linalg::Vector col(n, 0.0);
-          col[j] = 1.0;
-          lu->solve_inplace(col);
-          double cg = 0.0;
-          for (std::size_t i = 0; i < n; ++i) cg += c_perm[i] * col[i];
-          const double scale = cg / denom;
-          for (std::size_t i = 0; i < n; ++i)
-            g_perm(i, j) = col[i] - scale * w[i];
-        });
-        util::Status finite = util::check_finite(g_perm, "banded resolvent");
-        if (finite.is_ok()) {
-          linalg::Matrix g(n, n);
-          for (std::size_t a = 0; a < n; ++a)
-            for (std::size_t b = 0; b < n; ++b)
-              g(perm[a], perm[b]) = g_perm(a, b);
-          stats->used_banded = true;
-          return g;
-        }
+        res.perm_ = std::move(perm);
+        res.c_perm_ = std::move(c_perm);
+        res.lu_ = std::move(*lu);
+        res.w_ = std::move(w);
+        res.denom_ = denom;
+        stats->used_banded = true;
+        return res;
       }
     }
     // Factorization or correction failed: demote to the iterative rung.
   }
 
-  // --- Rung 2: per-column BiCGSTAB on the full rank-one operator. --------
-  sparse::ResolventOperator op{&p, linalg::Vector(n, 1.0), c};
+  // --- Rung 2: BiCGSTAB on the full rank-one operator, per solve. --------
+  res.p_ = p;
+  stats->used_bicgstab = true;
+  return res;
+}
+
+void SparseResolvent::banded_apply(linalg::Vector& x_perm) const {
+  lu_->solve_inplace(x_perm);
+  double cg = 0.0;
+  for (std::size_t i = 0; i < x_perm.size(); ++i) cg += c_perm_[i] * x_perm[i];
+  const double scale = cg / denom_;
+  for (std::size_t i = 0; i < x_perm.size(); ++i) x_perm[i] -= scale * w_[i];
+}
+
+util::StatusOr<linalg::Vector> SparseResolvent::try_stationary() const {
+  const std::size_t n = c_.size();
+  linalg::Vector pi(n, 0.0);
+  if (lu_) {
+    linalg::Vector y = c_perm_;
+    lu_->solve_transposed_inplace(y);
+    for (std::size_t a = 0; a < n; ++a) pi[perm_[a]] = y[a];
+  } else {
+    // πᵀA = cᵀ: one Krylov solve with Aᵀ.
+    const sparse::ResolventOperator op{&p_, linalg::Vector(n, 1.0), c_};
+    util::StatusOr<linalg::Vector> y =
+        sparse::try_solve_resolvent(op, c_, {}, nullptr, /*transpose=*/true);
+    if (!y.ok()) return y.status();
+    pi = std::move(*y);
+  }
+  double sum = 0.0;
+  for (double x : pi) sum += x;
+  for (double& x : pi) x /= sum;
+  util::Status finite = util::check_finite(pi, "sparse resolvent pi");
+  if (!finite.is_ok()) return finite;
+  return pi;
+}
+
+util::StatusOr<linalg::Vector> SparseResolvent::try_apply(
+    const linalg::Vector& v) const {
+  const std::size_t n = c_.size();
+  if (v.size() != n)
+    return util::Status(util::StatusCode::kSizeMismatch,
+                        "SparseResolvent::try_apply: size mismatch");
+  if (!lu_) {
+    const sparse::ResolventOperator op{&p_, linalg::Vector(n, 1.0), c_};
+    return sparse::try_solve_resolvent(op, v);
+  }
+  linalg::Vector x(n);
+  for (std::size_t a = 0; a < n; ++a) x[a] = v[perm_[a]];
+  banded_apply(x);
+  linalg::Vector out(n);
+  for (std::size_t a = 0; a < n; ++a) out[perm_[a]] = x[a];
+  util::Status finite = util::check_finite(out, "banded resolvent product");
+  if (!finite.is_ok()) return finite;
+  return out;
+}
+
+util::StatusOr<linalg::Matrix> SparseResolvent::try_inverse(
+    const runtime::ExecutionContext& ctx) const {
+  const std::size_t n = c_.size();
+  if (lu_) {
+    linalg::Matrix g_perm(n, n, 0.0);
+    runtime::parallel_for(ctx, n, [&](std::size_t j) {
+      linalg::Vector col(n, 0.0);
+      col[j] = 1.0;
+      banded_apply(col);
+      for (std::size_t i = 0; i < n; ++i) g_perm(i, j) = col[i];
+    });
+    util::Status finite = util::check_finite(g_perm, "banded resolvent");
+    if (!finite.is_ok()) return finite;
+    linalg::Matrix g(n, n);
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = 0; b < n; ++b) g(perm_[a], perm_[b]) = g_perm(a, b);
+    return g;
+  }
+
+  const sparse::ResolventOperator op{&p_, linalg::Vector(n, 1.0), c_};
   linalg::Matrix g(n, n, 0.0);
   std::vector<util::Status> column_status(n, util::Status::ok());
   runtime::parallel_for(ctx, n, [&](std::size_t j) {
@@ -278,20 +341,19 @@ util::StatusOr<linalg::Matrix> try_sparse_resolvent(
     if (!column_status[j].is_ok()) return column_status[j];
   util::Status finite = util::check_finite(g, "iterative resolvent");
   if (!finite.is_ok()) return finite;
-  stats->used_bicgstab = true;
   return g;
 }
 
 util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
     const markov::TransitionMatrix& p, const SparseAnalysisConfig& config,
-    const runtime::ExecutionContext& ctx, SparseSolveStats* stats) {
+    const runtime::ExecutionContext& ctx, SparseSolveStats* stats,
+    markov::AnalysisLevel level) {
   SparseSolveStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = SparseSolveStats{};
   const std::size_t n = p.size();
   const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(p.matrix());
-  const double c_value = 1.0 / static_cast<double>(n);
-  const linalg::Vector c(n, c_value);
+  const linalg::Vector c(n, 1.0 / static_cast<double>(n));
 
   // Independent stationary estimate: block A/D first, sparse power
   // iteration as its recovery rung. Either way the estimate comes from a
@@ -310,29 +372,17 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
   }();
   if (!pi_check.ok()) return pi_check.status();
 
-  util::StatusOr<linalg::Matrix> g = [&] {
+  util::StatusOr<SparseResolvent> resolvent = [&] {
     obs::ScopedPhase phase("sparse.resolvent");
-    return try_sparse_resolvent(sp, c, config, ctx, stats);
+    return SparseResolvent::try_factor(sp, c, config, stats);
   }();
-  if (!g.ok()) return g.status();
-
-  // πᵀ = cᵀG — identical derivation to markov::try_resolvent_analysis so
-  // the two sparse consumers stay bit-compatible.
-  linalg::Vector pi(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) pi[j] += (*g)(i, j);
-  double sum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    pi[j] *= c_value;
-    sum += pi[j];
-  }
-  util::Status finite = util::check_finite(pi, "sparse pi");
-  if (!finite.is_ok()) return finite;
-  util::Status positive = util::check_strictly_positive(pi, "sparse pi");
+  if (!resolvent.ok()) return resolvent.status();
+  util::StatusOr<linalg::Vector> pi = resolvent->try_stationary();
+  if (!pi.ok()) return pi.status();
+  util::Status positive = util::check_strictly_positive(*pi, "sparse pi");
   if (!positive.is_ok()) return positive;
-  for (std::size_t j = 0; j < n; ++j) pi[j] /= sum;
 
-  stats->pi_gap = inf_norm_diff(pi, *pi_check);
+  stats->pi_gap = inf_norm_diff(*pi, *pi_check);
   if (stats->pi_gap > config.pi_agreement_tol)
     return util::Status(
         util::StatusCode::kNotErgodic,
@@ -340,19 +390,26 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
         "estimates disagree (gap " +
             std::to_string(stats->pi_gap) + " > " +
             std::to_string(config.pi_agreement_tol) + ")");
+  if (level == markov::AnalysisLevel::kStationary)
+    return markov::ChainAnalysis{p, std::move(*pi), {}, {}};
 
   // A# = G − 𝟙(πᵀG), Z = A# + W, R from (Z, π) — Eqs. 6–8.
-  const linalg::Vector pi_g = linalg::mul(pi, *g);
+  util::StatusOr<linalg::Matrix> g = [&] {
+    obs::ScopedPhase phase("sparse.resolvent");
+    return resolvent->try_inverse(ctx);
+  }();
+  if (!g.ok()) return g.status();
+  const linalg::Vector pi_g = linalg::mul(*pi, *g);
   linalg::Matrix z(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
-      z(i, j) = (*g)(i, j) - pi_g[j] + pi[j];
+      z(i, j) = (*g)(i, j) - pi_g[j] + (*pi)[j];
   util::StatusOr<linalg::Matrix> r = [&] {
     obs::ScopedPhase phase("sparse.passage_times");
-    return markov::try_first_passage_times(z, pi);
+    return markov::try_first_passage_times(z, *pi);
   }();
   if (!r.ok()) return r.status();
-  return markov::ChainAnalysis{p, std::move(pi), std::move(z),
+  return markov::ChainAnalysis{p, std::move(*pi), std::move(z),
                                std::move(*r)};
 }
 

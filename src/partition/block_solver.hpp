@@ -1,11 +1,14 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "src/linalg/matrix.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/partition/spatial_partition.hpp"
 #include "src/runtime/execution_context.hpp"
+#include "src/sparse/banded_lu.hpp"
 #include "src/sparse/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
@@ -39,8 +42,8 @@ struct SparseSolveStats {
   double ad_residual = 0.0;      // final ‖πP − π‖∞ of the A/D iterate
   double off_block_mass = 0.0;   // max_off_block_row_mass of the partition
   double pi_gap = 0.0;           // ‖π_G − π_AD‖∞ cross-check gap
-  bool used_banded = false;      // direct banded-LU rung produced G
-  bool used_bicgstab = false;    // iterative rung produced G
+  bool used_banded = false;      // the banded-LU rung factored A
+  bool used_bicgstab = false;    // the iterative rung serves the solves
   bool used_power_crosscheck = false;  // A/D failed; power iteration stood in
 };
 
@@ -60,31 +63,65 @@ struct SparseSolveStats {
     const runtime::ExecutionContext& ctx = {},
     SparseSolveStats* stats = nullptr);
 
-/// Sparse resolvent G = (I − P + 𝟙cᵀ)⁻¹ via the ladder:
+/// The sparse ladder's factorization of the resolvent system
+/// A = I − P + 𝟙cᵀ. One factorization serves the stationary distribution
+/// (one transposed solve), products G v with G = A⁻¹ (one solve each) and
+/// the dense G (one solve per column). The rungs:
 ///  1. RCM reordering + banded LU of the anchored system B = I − P + e_{n−1}cᵀ
-///     followed by one Sherman–Morrison correction (skipped when the
-///     bandwidth exceeds the cap, demoted on factorization failure);
-///  2. per-column BiCGSTAB with Jacobi preconditioning on the full
-///     rank-one-corrected operator.
-/// Columns fan out over `ctx` into index-addressed slots (bit-identical for
-/// any --jobs). A non-ok status means both rungs failed and the caller
+///     with one Sherman–Morrison correction (skipped when the bandwidth
+///     exceeds the cap, demoted on factorization failure);
+///  2. Jacobi-preconditioned BiCGSTAB on the full rank-one-corrected
+///     operator, one Krylov solve per right-hand side.
+/// A non-ok status from any member means the rung failed and the caller
 /// should run the dense factorization.
-[[nodiscard]] util::StatusOr<linalg::Matrix> try_sparse_resolvent(
-    const sparse::SparseMatrix& p, const linalg::Vector& c,
-    const SparseAnalysisConfig& config = {},
-    const runtime::ExecutionContext& ctx = {},
-    SparseSolveStats* stats = nullptr);
+class SparseResolvent {
+ public:
+  [[nodiscard]] static util::StatusOr<SparseResolvent> try_factor(
+      const sparse::SparseMatrix& p, const linalg::Vector& c,
+      const SparseAnalysisConfig& config = {},
+      SparseSolveStats* stats = nullptr);
 
-/// Sparsity-aware replacement for markov::try_analyze_chain: computes G
-/// through try_sparse_resolvent, π independently through the block A/D solve
-/// (sparse power iteration as its recovery rung), cross-checks the two
-/// estimates to config.pi_agreement_tol, and derives Z/R from the
-/// resolvent exactly as markov::try_resolvent_analysis does. Any failure —
-/// including a cross-check disagreement — returns a Status so the caller
-/// can fall back to the dense pipeline.
+  /// π with πᵀ = cᵀG, normalized to unit mass: B⁻ᵀc on the banded rung
+  /// (πᵀB = π_{n−1}cᵀ), Aᵀy = c on the iterative one. Non-finite results
+  /// come back as kNonFiniteValue.
+  [[nodiscard]] util::StatusOr<linalg::Vector> try_stationary() const;
+
+  /// G v.
+  [[nodiscard]] util::StatusOr<linalg::Vector> try_apply(
+      const linalg::Vector& v) const;
+
+  /// The dense resolvent G, columns fanned out over `ctx` into
+  /// index-addressed slots (bit-identical for any --jobs).
+  [[nodiscard]] util::StatusOr<linalg::Matrix> try_inverse(
+      const runtime::ExecutionContext& ctx = {}) const;
+
+ private:
+  SparseResolvent() = default;
+
+  /// Banded rung: G x = B⁻¹x − w(cᵀB⁻¹x)/denom, in RCM order.
+  void banded_apply(linalg::Vector& x_perm) const;
+
+  linalg::Vector c_;                // the reference row, caller's order
+  sparse::SparseMatrix p_;          // iterative rung: the chain
+  // Banded rung (empty lu_ on the iterative rung), all in RCM order.
+  std::vector<std::size_t> perm_;   // RCM position -> caller index
+  linalg::Vector c_perm_;
+  std::optional<sparse::BandedResolventLu> lu_;
+  linalg::Vector w_;                // B⁻¹(𝟙 − e_{n−1})
+  double denom_ = 1.0;              // 1 + cᵀw
+};
+
+/// Sparsity-aware replacement for markov::try_analyze_chain: π from the
+/// SparseResolvent's transposed solve, checked against an independent
+/// estimate from the block A/D solve (sparse power iteration as its recovery
+/// rung) to config.pi_agreement_tol; at AnalysisLevel::kFundamental also G,
+/// then Z/R exactly as markov::try_resolvent_analysis derives them. Any
+/// failure — including a cross-check disagreement — returns a Status so the
+/// caller can fall back to the dense pipeline.
 [[nodiscard]] util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
     const markov::TransitionMatrix& p, const SparseAnalysisConfig& config = {},
     const runtime::ExecutionContext& ctx = {},
-    SparseSolveStats* stats = nullptr);
+    SparseSolveStats* stats = nullptr,
+    markov::AnalysisLevel level = markov::AnalysisLevel::kFundamental);
 
 }  // namespace mocos::partition

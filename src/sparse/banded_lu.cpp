@@ -110,4 +110,31 @@ void BandedResolventLu::solve_inplace(linalg::Vector& rhs) const {
   }
 }
 
+void BandedResolventLu::solve_transposed_inplace(linalg::Vector& rhs) const {
+  const std::size_t n = n_;
+  const std::size_t b = b_;
+  // Forward substitution with Uᵀ: row k of U holds the band of rows
+  // 0..n−2 (columns k..k+b) and the last pivot last_row_[n−1].
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const double xk = rhs[k] / band(k, k);
+    rhs[k] = xk;
+    // mocos-lint: allow(float-eq)
+    if (xk != 0.0) {
+      const std::size_t col_end = std::min(k + b, n - 1);
+      for (std::size_t j = k + 1; j <= col_end; ++j)
+        rhs[j] -= band(k, j) * xk;
+    }
+  }
+  rhs[n - 1] /= last_row_[n - 1];
+  // Back substitution with the unit-upper Lᵀ: column k of L holds the band
+  // rows k+1..k+b and the dense last row's multiplier last_row_[k].
+  for (std::size_t k = n - 1; k-- > 0;) {
+    double acc = rhs[k] - last_row_[k] * rhs[n - 1];
+    const std::size_t row_end = std::min(k + b, n - 2);
+    for (std::size_t i = k + 1; i <= row_end; ++i)
+      acc -= band(i, k) * rhs[i];
+    rhs[k] = acc;
+  }
+}
+
 }  // namespace mocos::sparse

@@ -39,6 +39,11 @@ class BandedResolventLu {
   /// Solves B x = rhs in place (forward + back substitution), O(n·b).
   void solve_inplace(linalg::Vector& rhs) const;
 
+  /// Solves Bᵀ x = rhs in place with the same factors (Uᵀ forward, then
+  /// Lᵀ back), O(n·b). Since πᵀB = π_{n−1}cᵀ, the stationary distribution
+  /// is B⁻ᵀc up to scale.
+  void solve_transposed_inplace(linalg::Vector& rhs) const;
+
  private:
   BandedResolventLu() = default;
 

@@ -2,10 +2,10 @@
 //
 // A seeded generator (Rng::stream, so chain k is reproducible in isolation)
 // produces hundreds of random ergodic chains of varying size; every chain
-// must satisfy the paper's Eqs. 5–8 identities, and the descent's resolvent
+// must satisfy the paper's Eqs. 5–8 identities, the descent's resolvent
 // solve must agree with the guarded reference pipeline (try_analyze_chain)
-// to 1e-10. The descent evaluator's one-entry memo answers exact repeats
-// only.
+// to 1e-10, and the closed-form exposure must equal Eq. 3 evaluated through
+// R. The descent evaluator's one-entry memo answers exact repeats only.
 
 #include <algorithm>
 #include <cmath>
@@ -15,12 +15,14 @@
 #include "gtest/gtest.h"
 #include "src/core/optimizer.hpp"
 #include "src/cost/barrier_term.hpp"
+#include "src/cost/exposure_term.hpp"
 #include "src/descent/cached_cost.hpp"
 #include "src/linalg/matrix.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/group_inverse.hpp"
 #include "src/markov/resolvent.hpp"
 #include "src/util/rng.hpp"
+#include "tests/exposure_reference.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos {
@@ -119,6 +121,25 @@ TEST(ChainProperties, CachedResolventMatchesFullAnalysis) {
   }
 }
 
+TEST(ChainProperties, ClosedFormExposureMatchesEq3) {
+  // Kac's return-time identity Σ_{j≠i} p_ij R_ji = 1/π_i − 1 turns Eq. 3
+  // into Ē_i = (1 − π_i)/(π_i (1 − p_ii)); the closed form read off a π-only
+  // analysis must equal Eq. 3 read off the full one.
+  for (std::uint64_t k = 0; k < kNumChains; ++k) {
+    SCOPED_TRACE("chain " + std::to_string(k));
+    const markov::TransitionMatrix p = generated_chain(k);
+    const auto full = test::unwrap(markov::try_analyze_chain(p));
+    const auto pi_only = test::unwrap(markov::try_analyze_chain(
+        p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
+    EXPECT_EQ(pi_only.level(), markov::AnalysisLevel::kStationary);
+    const linalg::Vector closed =
+        cost::ExposureTerm::compute_mean_exposures(pi_only);
+    const linalg::Vector eq3 = test::eq3_mean_exposures(full);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      EXPECT_NEAR(closed[i], eq3[i], kAgreementTol * std::abs(eq3[i]));
+  }
+}
+
 TEST(ChainProperties, MemoAnswersOnlyExactRepeats) {
   cost::CompositeCost u;
   u.add(std::make_unique<cost::BarrierTerm>(1e-4));
@@ -197,6 +218,30 @@ TEST(ChainProperties, OptimizationOutcomeExportsCacheStats) {
   sum.add(outcome.chain_stats);
   EXPECT_EQ(sum.full_solves, 2 * outcome.chain_stats.full_solves);
   EXPECT_EQ(sum.exact_hits, 2 * outcome.chain_stats.exact_hits);
+}
+
+TEST(ChainProperties, OnlyCostsThatReadZBuildIt) {
+  // chain_cache.fundamental_solves counts the full solves that also built
+  // Z: none for the paper's objectives, every one once event capture joins.
+  core::OptimizerOptions opts;
+  opts.algorithm = core::Algorithm::kAdaptive;
+  opts.max_iterations = 20;
+  const core::OptimizationOutcome plain =
+      core::CoverageOptimizer(test::paper_problem(2, 1.0, 1.0), opts).run();
+  EXPECT_GT(plain.chain_stats.full_solves, 0u);
+  EXPECT_EQ(plain.chain_stats.fundamental_solves, 0u);
+
+  core::Weights weights;
+  weights.capture_weight = 1.0;
+  weights.capture_duration = 2.0;
+  weights.lambda_skew = 1.0;
+  const core::Problem capture(geometry::paper_topology(2), core::Physics{},
+                              weights);
+  const core::OptimizationOutcome with_z =
+      core::CoverageOptimizer(capture, opts).run();
+  EXPECT_GT(with_z.chain_stats.full_solves, 0u);
+  EXPECT_EQ(with_z.chain_stats.fundamental_solves,
+            with_z.chain_stats.full_solves);
 }
 
 TEST(ChainProperties, ResolventRejectsNonErgodicChain) {

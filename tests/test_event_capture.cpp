@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/optimizer.hpp"
+#include "src/cost/composite_cost.hpp"
+#include "src/cost/event_capture_term.hpp"
 #include "src/cost/metrics.hpp"
+#include "src/descent/cached_cost.hpp"
 #include "src/geometry/paper_topologies.hpp"
 #include "src/sensing/coverage_tensors.hpp"
 #include "src/sensing/travel_model.hpp"
@@ -117,6 +122,64 @@ TEST(EventCapture, OptimizingInformationTermRaisesCaptureRate) {
       rng2);
   EXPECT_GT(res_opt.capture_rate(w.event_rates),
             res_uni.capture_rate(w.event_rates));
+}
+
+/// A term that reads Z without declaring needs_fundamental().
+class UndeclaredZTerm final : public cost::CostTerm {
+ public:
+  std::string name() const override { return "undeclared_z"; }
+  double value(const markov::ChainAnalysis& chain) const override {
+    return chain.fundamental()(0, 0);
+  }
+  void accumulate_partials(const markov::ChainAnalysis&,
+                           cost::Partials&) const override {}
+};
+
+TEST(EventCapture, TermOnPiOnlyAnalysisFailsLoudly) {
+  // Event capture reads z_ii. Reading it off a π-only analysis is a
+  // programming error, reported as such rather than as a missing index.
+  util::Rng rng(6);
+  const auto p = test::random_positive_chain(4, rng);
+  const auto pi_only = test::unwrap(markov::try_analyze_chain(
+      p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
+  const cost::EventCaptureTerm term({0.4, 0.3, 0.2, 0.1}, 2.0, 1.0);
+  EXPECT_THROW(static_cast<void>(term.value(pi_only)),
+               markov::MissingFundamentalError);
+  cost::Partials partials(4);
+  EXPECT_THROW(term.accumulate_partials(pi_only, partials),
+               markov::MissingFundamentalError);
+
+  // A term that reads Z without declaring it gets a π-only analysis from the
+  // probe evaluator; the error propagates instead of scoring the probe
+  // +infinity, which would read as "no descent step".
+  cost::CompositeCost u;
+  u.add(std::make_unique<UndeclaredZTerm>());
+  descent::CachedCostEvaluator evaluator(u);
+  EXPECT_THROW(static_cast<void>(evaluator.cost_at(p)),
+               markov::MissingFundamentalError);
+}
+
+TEST(EventCapture, CaptureAndMinimaxDescendUnderAdaptive) {
+  // Capture declares Z, so every probe of this cost is a full analysis, and
+  // the adaptive descent lowers the cost from the uniform start.
+  core::Weights w;
+  w.capture_weight = 1.0;
+  w.capture_duration = 2.0;
+  w.lambda_skew = 1.0;
+  w.minimax_weight = 0.5;
+  w.smoothmax_beta = 4.0;
+  const core::Problem problem(geometry::paper_topology(3), core::Physics{}, w);
+  core::OptimizerOptions opts;
+  opts.algorithm = core::Algorithm::kAdaptive;
+  opts.max_iterations = 40;
+  const auto outcome = core::CoverageOptimizer(problem, opts).run();
+  const double start_cost =
+      problem.make_cost().value(markov::TransitionMatrix::uniform(4));
+  EXPECT_NE(outcome.stop_reason, descent::StopReason::kNumericalFailure);
+  EXPECT_GT(outcome.iterations, 0u);
+  EXPECT_LT(outcome.penalized_cost, start_cost);
+  EXPECT_EQ(outcome.chain_stats.fundamental_solves,
+            outcome.chain_stats.full_solves);
 }
 
 }  // namespace

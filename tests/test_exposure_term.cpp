@@ -2,6 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+
+#include "src/cost/barrier_term.hpp"
+#include "src/cost/composite_cost.hpp"
+#include "src/cost/coverage_term.hpp"
+#include "src/cost/energy_term.hpp"
+#include "src/cost/entropy_term.hpp"
+#include "src/cost/event_capture_term.hpp"
+#include "src/cost/gradient.hpp"
+#include "src/cost/information_term.hpp"
+#include "src/cost/minimax_exposure_term.hpp"
+#include "src/cost/projection.hpp"
+#include "src/descent/initializers.hpp"
+#include "src/geometry/city_topology.hpp"
+#include "src/markov/resolvent.hpp"
+#include "src/markov/sensitivity.hpp"
+#include "tests/exposure_reference.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos::cost {
@@ -71,18 +90,178 @@ TEST(ExposureTerm, UniformChainSymmetry) {
   for (std::size_t i = 1; i < 5; ++i) EXPECT_NEAR(e[i], e[0], 1e-10);
 }
 
-TEST(ExposureTerm, PartialsPopulateAllThreeChannels) {
+TEST(ExposureTerm, PartialsFillOnlyPiAndPChannels) {
+  // In closed form Ē_i depends on (π_i, p_ii) alone: the exposure and
+  // minimax partials fill the π and P channels and leave ∂U/∂Z at zero, so
+  // of all the terms only event capture declares that it reads Z.
   util::Rng rng(73);
   const auto chain = test::unwrap(
       markov::try_analyze_chain(test::random_positive_chain(4, rng)));
-  ExposureTerm term(4, 1.0);
-  Partials p(4);
-  term.accumulate_partials(chain, p);
-  double pi_mag = 0.0;
-  for (double x : p.du_dpi) pi_mag += x * x;
-  EXPECT_GT(pi_mag, 0.0);
-  EXPECT_GT(linalg::frobenius_dot(p.du_dz, p.du_dz), 0.0);
-  EXPECT_GT(linalg::frobenius_dot(p.du_dp, p.du_dp), 0.0);
+  const ExposureTerm exposure(4, 1.0);
+  const MinimaxExposureTerm minimax(1.0, 4.0);
+  for (const CostTerm* term : {static_cast<const CostTerm*>(&exposure),
+                               static_cast<const CostTerm*>(&minimax)}) {
+    SCOPED_TRACE(term->name());
+    Partials p(4);
+    term->accumulate_partials(chain, p);
+    double pi_mag = 0.0;
+    for (double x : p.du_dpi) pi_mag += x * x;
+    EXPECT_GT(pi_mag, 0.0);
+    EXPECT_GT(linalg::frobenius_dot(p.du_dp, p.du_dp), 0.0);
+    EXPECT_EQ(linalg::frobenius_dot(p.du_dz, p.du_dz), 0.0);
+  }
+
+  const sensing::TravelModel model(geometry::paper_topology(1), 1.0, 1.0,
+                                   0.25);
+  const sensing::CoverageTensors tensors(model);
+  const std::vector<double> rates{0.4, 0.3, 0.2, 0.1};
+  std::vector<std::unique_ptr<CostTerm>> terms;
+  terms.push_back(std::make_unique<CoverageDeviationTerm>(
+      tensors, model.topology().targets(), 1.0));
+  terms.push_back(std::make_unique<ExposureTerm>(4, 1.0));
+  terms.push_back(std::make_unique<BarrierTerm>(1e-4));
+  terms.push_back(std::make_unique<EnergyTerm>(tensors, 0.5, 0.2));
+  terms.push_back(std::make_unique<EntropyTerm>(0.1));
+  terms.push_back(
+      std::make_unique<InformationCaptureTerm>(tensors, rates, 1.0));
+  terms.push_back(std::make_unique<MinimaxExposureTerm>(1.0, 4.0));
+  terms.push_back(std::make_unique<EventCaptureTerm>(rates, 2.0, 1.0));
+  for (const auto& term : terms)
+    EXPECT_EQ(term->needs_fundamental(), term->name() == "event_capture")
+        << term->name();
+}
+
+// --- Closed form against the Eq. 3 oracle ------------------------------------
+
+/// A support-restricted city chain on the sparse route: city:n with
+/// support_radius 2.0, support-uniform rows perturbed so no two PoIs look
+/// alike (structural zeros stay zero).
+markov::TransitionMatrix sparse_city_chain(std::size_t n, std::uint64_t seed) {
+  geometry::CityConfig cfg;
+  cfg.count = n;
+  cfg.seed = seed;
+  const auto topo = geometry::city_topology(cfg);
+  linalg::Matrix m =
+      descent::support_uniform_start(geometry::radius_neighbors(topo, 2.0))
+          .matrix();
+  util::Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      m(i, j) *= 0.5 + rng.uniform();
+      sum += m(i, j);
+    }
+    for (std::size_t j = 0; j < n; ++j) m(i, j) /= sum;
+  }
+  return markov::TransitionMatrix(std::move(m));
+}
+
+double max_rel_gap(const linalg::Matrix& got, const linalg::Matrix& ref) {
+  double gap = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < ref.rows(); ++i)
+    for (std::size_t j = 0; j < ref.cols(); ++j) {
+      gap = std::max(gap, std::abs(got(i, j) - ref(i, j)));
+      scale = std::max(scale, std::abs(ref(i, j)));
+    }
+  return gap / scale;
+}
+
+TEST(ExposureTerm, ClosedFormMatchesEq3OnSparseCity) {
+  const auto p = sparse_city_chain(256, 11);
+  ASSERT_TRUE(markov::sparse_path_enabled(p.matrix()));
+  const auto full = test::unwrap(markov::try_analyze_chain(p));
+  const auto pi_only = test::unwrap(markov::try_analyze_chain(
+      p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
+  const linalg::Vector closed = ExposureTerm::compute_mean_exposures(pi_only);
+  const linalg::Vector eq3 = test::eq3_mean_exposures(full);
+  for (std::size_t i = 0; i < p.size(); ++i)
+    EXPECT_NEAR(closed[i], eq3[i], 1e-10 * std::abs(eq3[i])) << "PoI " << i;
+}
+
+/// The reference pipeline: Eq. 3's (π, Z, P) partials with outer derivative
+/// `g`, through the full Eq. 10 chain rule with explicit Z, projected.
+linalg::Matrix eq3_projected_gradient(const markov::ChainAnalysis& full,
+                                      const linalg::Vector& g) {
+  Partials partials(full.p.size());
+  test::eq3_accumulate_weighted_exposure_partials(full, g, partials);
+  return project_row_sum_zero_on_support(
+      markov::chain_rule_gradient(full, partials.du_dpi, partials.du_dz,
+                                  partials.du_dp),
+      full.p.matrix());
+}
+
+/// The π-only projected gradient of a one-term cost matches the reference
+/// pipeline, through the descent's own route (the probe's factorization)
+/// and through a fresh factorization.
+void expect_pi_only_gradient_matches_eq3(const markov::TransitionMatrix& p,
+                                         double beta, double minimax_beta) {
+  const auto full = test::unwrap(markov::try_analyze_chain(p));
+  const auto solved = test::unwrap(markov::try_resolvent_analysis(
+      p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
+  ASSERT_TRUE(solved.resolvent.has_value());
+
+  CompositeCost exposure;
+  exposure.add(std::make_unique<ExposureTerm>(p.size(), beta));
+  linalg::Vector g = test::eq3_mean_exposures(full);
+  for (double& x : g) x *= beta;
+  const linalg::Matrix exposure_ref = eq3_projected_gradient(full, g);
+  EXPECT_LE(max_rel_gap(projected_cost_gradient(exposure, solved.chain,
+                                                &*solved.resolvent),
+                        exposure_ref),
+            1e-10);
+  EXPECT_LE(max_rel_gap(projected_cost_gradient(exposure, solved.chain),
+                        exposure_ref),
+            1e-10);
+
+  const MinimaxExposureTerm minimax_term(0.7, minimax_beta);
+  CompositeCost minimax;
+  minimax.add(std::make_unique<MinimaxExposureTerm>(0.7, minimax_beta));
+  linalg::Vector sigma = minimax_term.softmax_weights(full);
+  for (double& x : sigma) x *= 0.7;
+  const linalg::Matrix minimax_ref = eq3_projected_gradient(full, sigma);
+  EXPECT_LE(max_rel_gap(projected_cost_gradient(minimax, solved.chain,
+                                                &*solved.resolvent),
+                        minimax_ref),
+            1e-10);
+  EXPECT_LE(max_rel_gap(projected_cost_gradient(minimax, solved.chain),
+                        minimax_ref),
+            1e-10);
+}
+
+TEST(ExposureTerm, PiOnlyGradientMatchesEq3PipelineOnPaperSizes) {
+  // The GradientFd shapes: random positive chains on 4 and 9 PoIs.
+  util::Rng rng(120);
+  for (const std::size_t n : {4u, 4u, 9u, 9u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    expect_pi_only_gradient_matches_eq3(test::random_positive_chain(n, rng),
+                                        1.0, 4.0);
+  }
+}
+
+TEST(ExposureTerm, PiOnlyGradientMatchesEq3PipelineOnRingSupport) {
+  // GradientFd's support-restricted ring: self plus both neighbours.
+  const std::size_t n = 8;
+  util::Rng rng(115);
+  linalg::Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t d = 0; d < 3; ++d) {
+      const std::size_t j = (i + n - 1 + d) % n;
+      m(i, j) = 0.05 + rng.uniform();
+      sum += m(i, j);
+    }
+    for (std::size_t j = 0; j < n; ++j) m(i, j) /= sum;
+  }
+  expect_pi_only_gradient_matches_eq3(markov::TransitionMatrix(std::move(m)),
+                                      0.5, 5.0);
+}
+
+TEST(ExposureTerm, PiOnlyGradientMatchesEq3PipelineOnSparseCity) {
+  const auto p = sparse_city_chain(256, 11);
+  const auto solved = test::unwrap(markov::try_resolvent_analysis(
+      p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
+  EXPECT_TRUE(solved.sparse);
+  expect_pi_only_gradient_matches_eq3(p, 1e-3, 0.5);
 }
 
 TEST(ExposureTerm, RejectsBadInput) {

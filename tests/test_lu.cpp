@@ -25,6 +25,20 @@ TEST(Lu, SolveRequiresPivoting) {
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
+TEST(Lu, SolveTransposedSolvesTheTransposedSystem) {
+  // One factorization of A serves Aᵀx = b: the same answer as factoring Aᵀ,
+  // with row swaps forced by a zero leading entry.
+  util::Rng rng(17);
+  Matrix a(6, 6);
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t j = 0; j < 6; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
+  a(0, 0) = 0.0;
+  const Vector b{1.0, -2.0, 0.5, 3.0, -1.0, 2.0};
+  const Vector x = LuDecomposition(a).solve_transposed(b);
+  const Vector ref = solve(a.transposed(), b);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(x[i], ref[i], 1e-12);
+}
+
 TEST(Lu, InverseTimesMatrixIsIdentity) {
   Matrix a{{4.0, 7.0, 2.0}, {3.0, 5.0, 1.0}, {8.0, 1.0, 6.0}};
   const Matrix inv = inverse(a);

@@ -233,6 +233,28 @@ TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
   }
 }
 
+TEST(SparseResolvent, StationarySolveMatchesDense) {
+  // π on the sparse route is one transposed banded solve: the probes' π-only
+  // analysis and try_stationary_distribution share it, and both agree with
+  // the dense LU to 1e-10.
+  const auto p = city_chain(256, 4);
+  const linalg::Vector dense = test::unwrap(
+      markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
+  const linalg::Vector sparse = test::unwrap(
+      markov::try_stationary_distribution(p, markov::SolvePolicy::kAuto));
+  EXPECT_LE(max_abs_gap(sparse, dense), 1e-10);
+
+  const auto probe = test::unwrap(markov::try_resolvent_analysis(
+      p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
+  EXPECT_TRUE(probe.sparse);
+  ASSERT_TRUE(probe.resolvent.has_value());
+  EXPECT_TRUE(probe.resolvent->sparse());
+  EXPECT_EQ(probe.chain.level(), markov::AnalysisLevel::kStationary);
+  EXPECT_TRUE(probe.chain.z.empty());
+  EXPECT_TRUE(probe.chain.r.empty());
+  EXPECT_LE(max_abs_gap(probe.chain.pi, dense), 1e-10);
+}
+
 TEST(SparseDescent, SupportRestrictedProblemKeepsZerosEndToEnd) {
   geometry::CityConfig cfg;
   cfg.count = 49;

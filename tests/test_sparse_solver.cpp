@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/linalg/lu.hpp"
@@ -165,6 +166,47 @@ TEST(BandedResolventLu, MatchesDenseAnchoredSolve) {
     ASSERT_TRUE(ref.ok());
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], (*ref)[i], 1e-10);
   }
+}
+
+TEST(BandedResolventLu, TransposedSolveMatchesDenseAndYieldsPi) {
+  // A non-reversible walk on a path with bandwidth 2: Bᵀx = rhs matches the
+  // dense solve, and B⁻ᵀc is the stationary distribution up to scale.
+  const std::size_t n = 25;
+  util::Rng rng(43);
+  linalg::Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = (i >= 2 ? i - 2 : 0); j <= std::min(i + 2, n - 1);
+         ++j) {
+      m(i, j) = 0.05 + rng.uniform();
+      sum += m(i, j);
+    }
+    for (std::size_t j = 0; j < n; ++j) m(i, j) /= sum;
+  }
+  const markov::TransitionMatrix p(m);
+  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  linalg::Vector c(n, 1.0 / static_cast<double>(n));
+  auto lu = BandedResolventLu::try_factor(sp, c, 2);
+  ASSERT_TRUE(lu.ok()) << lu.status().message();
+
+  linalg::Matrix b = linalg::Matrix::identity(n) - p.matrix();
+  for (std::size_t j = 0; j < n; ++j) b(n - 1, j) += c[j];
+  linalg::Vector rhs(n);
+  for (double& v : rhs) v = rng.uniform(-1.0, 1.0);
+  linalg::Vector x = rhs;
+  lu->solve_transposed_inplace(x);
+  const auto ref = linalg::try_solve(b.transposed(), rhs);
+  ASSERT_TRUE(ref.ok());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], (*ref)[i], 1e-10);
+
+  linalg::Vector pi = c;
+  lu->solve_transposed_inplace(pi);
+  double mass = 0.0;
+  for (double v : pi) mass += v;
+  const linalg::Vector exact =
+      test::unwrap(markov::try_stationary_distribution(p));
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(pi[i] / mass, exact[i], 1e-12);
 }
 
 TEST(BandedResolventLu, RejectsEntriesOutsideTheBand) {
