@@ -1,11 +1,10 @@
-// Sparse chain analysis vs. the dense pipeline at city scale: the tentpole
-// number of the CSR resolvent + block-decomposition work. For each map size M
-// the bench builds a jittered-grid city chain (support radius 2·spacing,
-// ~13 neighbours per PoI), runs the full sparse analysis
-// (partition::try_sparse_analyze_chain) and — up to the dense cap — the dense
-// markov::try_analyze_chain reference, and reports the full-solve speedup.
-// Writes BENCH_sparse_scaling.json (to MOCOS_BENCH_CSV_DIR when set, else the
-// working directory).
+// Sparse chain analysis vs. the dense pipeline at city scale. For each map
+// size M the bench builds a jittered-grid city chain (support radius
+// 2·spacing, ~13 neighbours per PoI), runs the full chain analysis
+// (markov::try_analyze_chain: π, Z and R) pinned to the sparse ladder and —
+// up to the dense cap — pinned to the dense LU, and reports the full-solve
+// speedup. Writes BENCH_sparse_scaling.json (to MOCOS_BENCH_CSV_DIR when
+// set, else the working directory).
 //
 // Correctness is part of what is measured: wherever the dense reference runs,
 // π must agree to 1e-8 (absolute) and R to 1e-8 (relative) or the bench fails
@@ -23,7 +22,9 @@
 #include "src/geometry/city_topology.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/solve_policy.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/partition/block_solver.hpp"
+#include "src/partition/spatial_partition.hpp"
 
 namespace mocos::bench {
 namespace {
@@ -32,7 +33,6 @@ struct SizePoint {
   std::size_t m = 0;
   std::size_t nnz = 0;
   double density = 0.0;
-  std::size_t blocks = 0;
   std::size_t bandwidth = 0;
   bool used_banded = false;
   bool used_bicgstab = false;
@@ -60,22 +60,30 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   pt.nnz = sp.nnz();
   pt.density = sp.density();
 
-  // Sparse full analysis (π, Z, R, W through the block/resolvent ladder).
-  partition::SparseSolveStats stats;
+  // Sparse full analysis (π, Z, R through the resolvent ladder). A ladder
+  // that fell back to the dense LU would make the sparse timing meaningless.
+  obs::MetricsRegistry registry;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto sparse_result =
-      partition::try_sparse_analyze_chain(p, {}, {}, &stats);
+  const auto sparse_result = [&] {
+    obs::ScopedMetrics install(&registry);
+    return markov::try_analyze_chain(p, markov::SolvePolicy::kSparse);
+  }();
   const auto t1 = std::chrono::steady_clock::now();
-  if (!sparse_result.ok()) {
-    std::cerr << "sparse_scaling: sparse analysis failed at M=" << m << ": "
-              << sparse_result.status().message() << "\n";
+  if (!sparse_result.ok() ||
+      registry.counter("markov.sparse.fallbacks").value() != 0) {
+    std::cerr << "sparse_scaling: the sparse analysis failed or fell back at "
+              << "M=" << m << "\n";
     std::exit(1);
   }
   pt.sparse_seconds = std::chrono::duration<double>(t1 - t0).count();
-  pt.blocks = stats.blocks;
-  pt.bandwidth = stats.bandwidth;
-  pt.used_banded = stats.used_banded;
-  pt.used_bicgstab = stats.used_bicgstab;
+
+  // The rung that served it, outside the timed region.
+  const linalg::Vector c(m, 1.0 / static_cast<double>(m));
+  pt.used_banded =
+      partition::SparseResolvent::try_factor(sp, c).value().banded();
+  pt.used_bicgstab = !pt.used_banded;
+  pt.bandwidth =
+      partition::pattern_bandwidth(sp, partition::bandwidth_ordering(sp));
 
   if (!run_dense) return pt;
 
@@ -132,8 +140,7 @@ void write_json(const std::vector<SizePoint>& points) {
     out << "    {\"m\": " << pt.m << ", \"nnz\": " << pt.nnz
         << ", \"density\": ";
     num(pt.density);
-    out << ", \"blocks\": " << pt.blocks
-        << ", \"bandwidth\": " << pt.bandwidth << ", \"used_banded\": "
+    out << ", \"bandwidth\": " << pt.bandwidth << ", \"used_banded\": "
         << (pt.used_banded ? "true" : "false") << ", \"used_bicgstab\": "
         << (pt.used_bicgstab ? "true" : "false") << ", \"sparse_seconds\": ";
     num(pt.sparse_seconds);
@@ -152,7 +159,7 @@ void write_json(const std::vector<SizePoint>& points) {
 }
 
 int run() {
-  banner("sparse chain analysis: block/resolvent ladder vs dense pipeline");
+  banner("sparse chain analysis: resolvent ladder vs dense pipeline");
   const std::vector<std::size_t> sizes =
       quick_mode() ? std::vector<std::size_t>{128, 256}
                    : std::vector<std::size_t>{256, 512, 1024, 2048};
@@ -161,13 +168,13 @@ int run() {
   const std::size_t dense_cap = scaled(1024, 256);
 
   std::vector<SizePoint> points;
-  util::Table t({"M", "nnz", "blocks", "band", "sparse s", "dense s",
-                 "speedup", "pi gap", "R rel gap"});
+  util::Table t({"M", "nnz", "band", "sparse s", "dense s", "speedup",
+                 "pi gap", "R rel gap"});
   for (std::size_t m : sizes) {
     points.push_back(run_size(m, m <= dense_cap));
     const SizePoint& pt = points.back();
     t.add_row({std::to_string(pt.m), std::to_string(pt.nnz),
-               std::to_string(pt.blocks), std::to_string(pt.bandwidth),
+               std::to_string(pt.bandwidth),
                util::fmt(pt.sparse_seconds, 4),
                pt.dense_seconds > 0.0 ? util::fmt(pt.dense_seconds, 4) : "-",
                pt.speedup > 0.0 ? util::fmt(pt.speedup, 2) : "-",

@@ -2,12 +2,9 @@
 
 #include <utility>
 
-#include "src/linalg/lu.hpp"
-#include "src/markov/passage_times.hpp"
-#include "src/markov/stationary.hpp"
-#include "src/obs/metrics.hpp"
-#include "src/partition/block_solver.hpp"
 #include "src/linalg/guard.hpp"
+#include "src/linalg/lu.hpp"
+#include "src/markov/resolvent.hpp"
 
 namespace mocos::markov {
 
@@ -61,50 +58,10 @@ const linalg::Matrix& ChainAnalysis::passage_times() const {
 util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
                                                 SolvePolicy policy,
                                                 AnalysisLevel level) {
-  util::Status input = util::check_row_stochastic(p.matrix());
-  if (!input.is_ok()) return input;
-
-  // Sparsity-aware path (CSR resolvent + block decomposition). The power
-  // rung never routes here — a caller already demoted to it is recovering
-  // from a failure and should get the plain dense pipeline. Any sparse
-  // failure falls through to dense, so this dispatch never introduces a new
-  // failure mode.
-  if (routes_sparse(policy, p.matrix())) {
-    partition::SparseSolveStats sparse_stats;
-    util::StatusOr<ChainAnalysis> sparse_result =
-        partition::try_sparse_analyze_chain(p, {}, {}, &sparse_stats, level);
-    if (sparse_result.ok()) {
-      obs::count("markov.sparse.solves");
-      obs::gauge_set("markov.sparse.bandwidth",
-                     static_cast<double>(sparse_stats.bandwidth));
-      obs::gauge_set("markov.sparse.blocks",
-                     static_cast<double>(sparse_stats.blocks));
-      obs::gauge_set("markov.sparse.ad_sweeps",
-                     static_cast<double>(sparse_stats.ad_sweeps));
-      obs::gauge_set("markov.sparse.pi_gap", sparse_stats.pi_gap);
-      return sparse_result;
-    }
-    obs::count("markov.sparse.fallbacks");
-  }
-
-  util::StatusOr<linalg::Vector> pi = try_stationary_distribution(p, policy);
-  if (!pi.ok()) return pi.status();
-  if (level == AnalysisLevel::kStationary) {
-    // The passage times' guard, kept for the consumers of a π-only
-    // analysis: every closed form divides by π_i.
-    util::Status positive = util::check_strictly_positive(*pi, "pi");
-    if (!positive.is_ok()) return positive;
-    return ChainAnalysis{p, std::move(*pi), {}, {}};
-  }
-
-  util::StatusOr<linalg::Matrix> z =
-      try_fundamental_matrix(p.matrix(), *pi);
-  if (!z.ok()) return z.status();
-
-  util::StatusOr<linalg::Matrix> r = try_first_passage_times(*z, *pi);
-  if (!r.ok()) return r.status();
-
-  return ChainAnalysis{p, std::move(*pi), std::move(*z), std::move(*r)};
+  util::StatusOr<ResolventAnalysis> solved =
+      try_resolvent_analysis(p, policy, level);
+  if (!solved.ok()) return solved.status();
+  return std::move(solved->chain);
 }
 
 }  // namespace mocos::markov

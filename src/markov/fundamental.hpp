@@ -62,13 +62,12 @@ struct ChainAnalysis {
   [[nodiscard]] const linalg::Matrix& passage_times() const;
 };
 
-/// Guarded chain analysis. Chains `policy` routes sparse go through
-/// partition::try_sparse_analyze_chain (resolvent ladder plus a block A/D
-/// cross-check on π); everything else, and any sparse failure, runs the
-/// stationary solve `policy` selects and, at AnalysisLevel::kFundamental,
-/// the fundamental-matrix inversion and passage times, validating each
-/// stage. The first failure is returned as a structured Status instead of
-/// an exception or NaN-laden result.
+/// Guarded chain analysis: the chain of try_resolvent_analysis(p, policy,
+/// level) (resolvent.hpp), the descent's own solve. One factorization of
+/// I − P + 𝟙cᵀ, on the sparse ladder where `policy` routes P and by dense LU
+/// otherwise or on any ladder failure; π read from it and, at
+/// AnalysisLevel::kFundamental, G, then Z and R. The first failure comes
+/// back as a structured Status instead of an exception or NaN-laden result.
 [[nodiscard]] util::StatusOr<ChainAnalysis> try_analyze_chain(
     const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto,
     AnalysisLevel level = AnalysisLevel::kFundamental);

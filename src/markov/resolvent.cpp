@@ -1,13 +1,16 @@
 #include "src/markov/resolvent.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "src/linalg/guard.hpp"
 #include "src/markov/passage_times.hpp"
 #include "src/markov/stationary.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
-#include "src/sparse/sparse_matrix.hpp"
 
 namespace mocos::markov {
 
@@ -26,13 +29,46 @@ linalg::Matrix resolvent_system(const linalg::Matrix& p) {
   return m;
 }
 
-void trace_sparse_fallback() {
-  if (obs::trace_active())
-    obs::trace_instant("chain_cache.fallback", "markov",
-                       obs::TraceArgs().str("kind", "sparse-ladder"));
+/// Every switch from the sparse ladder to the dense LU, counted once.
+void record_sparse_fallback(const util::Status& why) {
+  obs::count("markov.sparse.fallbacks");
+  if (!obs::trace_active()) return;
+  obs::TraceArgs args;
+  args.str("kind", "sparse-ladder").str("reason", why.to_string());
+  obs::trace_instant("chain_cache.fallback", "markov", args);
 }
 
 }  // namespace
+
+util::Status check_stationary_residual(const sparse::SparseMatrix& p,
+                                       const linalg::Vector& pi) {
+  const linalg::Vector pi_p = p.transpose_matvec(pi);
+  double residual = 0.0;
+  for (std::size_t i = 0; i < pi.size(); ++i)
+    residual = std::max(residual, std::abs(pi_p[i] - pi[i]));
+  if (residual <= kStationaryResidualTol) return util::Status::ok();
+  char message[96];
+  std::snprintf(message, sizeof message,
+                "sparse ladder pi is not a fixed point of P (residual %.3g)",
+                residual);
+  return util::Status(util::StatusCode::kNotErgodic, message);
+}
+
+util::Status Resolvent::try_factor_sparse(const linalg::Matrix& p,
+                                          const linalg::Vector& c) {
+  obs::ScopedPhase phase("sparse.resolvent");
+  const sparse::SparseMatrix csr = sparse::SparseMatrix::from_dense(p);
+  util::StatusOr<partition::SparseResolvent> ladder =
+      partition::SparseResolvent::try_factor(csr, c);
+  if (!ladder.ok()) return ladder.status();
+  util::StatusOr<linalg::Vector> pi = ladder->try_stationary();
+  if (!pi.ok()) return pi.status();
+  util::Status fixed_point = check_stationary_residual(csr, *pi);
+  if (!fixed_point.is_ok()) return fixed_point;
+  sparse_.emplace(std::move(*ladder));
+  pi_ = std::move(*pi);
+  return util::Status::ok();
+}
 
 util::StatusOr<Resolvent> Resolvent::try_factor(const linalg::Matrix& p,
                                                 SolvePolicy policy) {
@@ -40,18 +76,12 @@ util::StatusOr<Resolvent> Resolvent::try_factor(const linalg::Matrix& p,
   const linalg::Vector c(n, 1.0 / static_cast<double>(n));
   Resolvent res;
   if (routes_sparse(policy, p)) {
-    util::StatusOr<partition::SparseResolvent> sparse =
-        partition::SparseResolvent::try_factor(
-            sparse::SparseMatrix::from_dense(p), c);
-    if (sparse.ok()) {
-      util::StatusOr<linalg::Vector> pi = sparse->try_stationary();
-      if (pi.ok()) {
-        res.sparse_.emplace(std::move(*sparse));
-        res.pi_ = std::move(*pi);
-        return res;
-      }
+    util::Status sparse = res.try_factor_sparse(p, c);
+    if (sparse.is_ok()) {
+      obs::count("markov.sparse.solves");
+      return res;
     }
-    trace_sparse_fallback();
+    record_sparse_fallback(sparse);
   }
   util::StatusOr<linalg::LuDecomposition> lu =
       linalg::LuDecomposition::try_factor(resolvent_system(p));
@@ -148,7 +178,7 @@ util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
   // The sparse ladder agrees with the dense factorization well inside the
   // 1e-10 parity contract; a failure past the factorization (a stalled
   // Krylov column of G, a non-positive π) reruns the analysis dense.
-  trace_sparse_fallback();
+  record_sparse_fallback(solved.status());
   resolvent = Resolvent::try_factor(m, SolvePolicy::kDense);
   if (!resolvent.ok()) return resolvent.status();
   return analyze_through(std::move(*resolvent), p, policy, level);

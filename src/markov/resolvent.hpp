@@ -8,6 +8,7 @@
 #include "src/markov/solve_policy.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/partition/block_solver.hpp"
+#include "src/sparse/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::markov {
@@ -24,13 +25,16 @@ namespace mocos::markov {
 ///   G                 (one solve per column, for the dense Z and R)
 ///
 /// The factorization comes from the sparse ladder (banded LU, then
-/// BiCGSTAB) when the policy routes P sparse and the ladder yields a finite
-/// π, and from a dense LU otherwise (kPowerIteration factors dense).
+/// BiCGSTAB) when the policy routes P sparse and the ladder's π passes
+/// check_stationary_residual, and from a dense LU otherwise
+/// (kPowerIteration factors dense).
 class Resolvent {
  public:
   /// Factors A for the row-stochastic `p` and solves for π. Fails with the
   /// dense LU's status (kSingularMatrix for a reducible chain) or
-  /// kNonFiniteValue when π is not finite.
+  /// kNonFiniteValue when π is not finite. Each accepted ladder
+  /// factorization counts markov.sparse.solves, each switch from the ladder
+  /// to the dense LU markov.sparse.fallbacks.
   [[nodiscard]] static util::StatusOr<Resolvent> try_factor(
       const linalg::Matrix& p, SolvePolicy policy = SolvePolicy::kAuto);
 
@@ -50,10 +54,24 @@ class Resolvent {
  private:
   Resolvent() = default;
 
+  /// The sparse ladder's factorization of `p` and its π, kept only when
+  /// every rung step succeeds and π passes the fixed-point gate.
+  [[nodiscard]] util::Status try_factor_sparse(const linalg::Matrix& p,
+                                               const linalg::Vector& c);
+
   std::optional<linalg::LuDecomposition> dense_;
   std::optional<partition::SparseResolvent> sparse_;
   linalg::Vector pi_;
 };
+
+/// The fixed-point gate on the sparse ladder's π.
+inline constexpr double kStationaryResidualTol = 1e-12;
+
+/// kNotErgodic, naming the residual, unless π is a fixed point of the CSR
+/// chain `p`: ‖πᵀP − πᵀ‖∞ ≤ kStationaryResidualTol. Resolvent::try_factor
+/// accepts the sparse ladder's π only through this check.
+[[nodiscard]] util::Status check_stationary_residual(
+    const sparse::SparseMatrix& p, const linalg::Vector& pi);
 
 /// A chain analysis made through a Resolvent.
 struct ResolventAnalysis {
@@ -65,16 +83,18 @@ struct ResolventAnalysis {
   std::optional<Resolvent> resolvent;
 };
 
-/// The descent's chain solve: every probe the drivers evaluate through
-/// descent::CachedCostEvaluator that is not an exact repeat lands here.
-/// Factors the resolvent (Resolvent::try_factor) and reads π from it; at
+/// The one chain analysis: every probe the drivers evaluate through
+/// descent::CachedCostEvaluator that is not an exact repeat lands here, and
+/// try_analyze_chain returns its chain. Factors the resolvent
+/// (Resolvent::try_factor) and reads π from it; at
 /// AnalysisLevel::kFundamental also builds G, then Z and R. The sparse
 /// ladder falls back to the dense factorization on any failure, never a new
-/// failure mode. kPowerIteration, the recovery ladder's demoted rung, takes
-/// π from power iteration and still factors A for Z. Failures come back as
-/// a Status: a P that is not row-stochastic, a singular resolvent system, a
-/// non-finite G, a non-finite or non-positive π, or non-finite passage
-/// times.
+/// failure mode; a failure past the factorization reruns the analysis dense
+/// and counts markov.sparse.fallbacks. kPowerIteration, the recovery
+/// ladder's demoted rung, takes π from power iteration and still factors A
+/// for Z. Failures come back as a Status: a P that is not row-stochastic, a
+/// singular resolvent system, a non-finite G, a non-finite or non-positive
+/// π, or non-finite passage times.
 [[nodiscard]] util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
     const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto,
     AnalysisLevel level = AnalysisLevel::kFundamental);

@@ -1,148 +1,9 @@
 #include "src/partition/spatial_partition.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace mocos::partition {
-
-namespace {
-
-Blocks finish_blocks(std::size_t n,
-                     std::vector<std::vector<std::size_t>> members) {
-  Blocks b;
-  b.members = std::move(members);
-  b.block_of.assign(n, 0);
-  for (std::size_t k = 0; k < b.members.size(); ++k) {
-    std::sort(b.members[k].begin(), b.members[k].end());
-    for (std::size_t i : b.members[k]) b.block_of[i] = k;
-  }
-  return b;
-}
-
-void bisect(const std::vector<geometry::Vec2>& positions,
-            std::vector<std::size_t> indices, std::size_t target,
-            std::vector<std::vector<std::size_t>>& out) {
-  if (indices.size() <= target) {
-    out.push_back(std::move(indices));
-    return;
-  }
-  double min_x = positions[indices[0]].x, max_x = min_x;
-  double min_y = positions[indices[0]].y, max_y = min_y;
-  for (std::size_t i : indices) {
-    min_x = std::min(min_x, positions[i].x);
-    max_x = std::max(max_x, positions[i].x);
-    min_y = std::min(min_y, positions[i].y);
-    max_y = std::max(max_y, positions[i].y);
-  }
-  const bool split_x = (max_x - min_x) >= (max_y - min_y);
-  std::sort(indices.begin(), indices.end(),
-            [&](std::size_t a, std::size_t b) {
-              const double ca = split_x ? positions[a].x : positions[a].y;
-              const double cb = split_x ? positions[b].x : positions[b].y;
-              return ca != cb ? ca < cb : a < b;  // mocos-lint: allow(float-eq)
-            });
-  const std::size_t half = indices.size() / 2;
-  std::vector<std::size_t> lo(indices.begin(),
-                              indices.begin() + static_cast<std::ptrdiff_t>(half));
-  std::vector<std::size_t> hi(indices.begin() + static_cast<std::ptrdiff_t>(half),
-                              indices.end());
-  bisect(positions, std::move(lo), target, out);
-  bisect(positions, std::move(hi), target, out);
-}
-
-}  // namespace
-
-std::vector<std::size_t> Blocks::permutation() const {
-  std::vector<std::size_t> perm;
-  perm.reserve(size());
-  for (const auto& block : members)
-    perm.insert(perm.end(), block.begin(), block.end());
-  return perm;
-}
-
-Blocks spatial_blocks(const std::vector<geometry::Vec2>& positions,
-                      const PartitionConfig& config) {
-  const std::size_t n = positions.size();
-  if (n == 0) throw std::invalid_argument("spatial_blocks: no positions");
-  const std::size_t target = std::max<std::size_t>(config.target_block_size, 1);
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  std::vector<std::vector<std::size_t>> members;
-  bisect(positions, std::move(all), target, members);
-  return finish_blocks(n, std::move(members));
-}
-
-Blocks structural_blocks(const sparse::SparseMatrix& p,
-                         const PartitionConfig& config) {
-  const std::size_t n = p.rows();
-  if (n == 0 || p.rows() != p.cols())
-    throw std::invalid_argument("structural_blocks: P must be square");
-  const std::size_t target = std::max<std::size_t>(config.target_block_size, 1);
-
-  // Symmetrized strong-coupling adjacency: max(p_ij, p_ji) >= cutoff.
-  std::vector<std::vector<std::size_t>> strong(n);
-  const auto& offsets = p.row_offsets();
-  const auto& cols = p.col_indices();
-  const auto& vals = p.values();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      const std::size_t j = cols[e];
-      if (j == i || vals[e] < config.coupling_cutoff) continue;
-      strong[i].push_back(j);
-      strong[j].push_back(i);
-    }
-  }
-  for (auto& adj : strong) {
-    std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-  }
-
-  // Index-ordered BFS over components; oversized components are cut into
-  // contiguous runs of their BFS order (BFS keeps strongly-coupled PoIs
-  // adjacent, so the cuts land on the weakest seams available).
-  std::vector<bool> seen(n, false);
-  std::vector<std::vector<std::size_t>> members;
-  std::vector<std::size_t> queue;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (seen[start]) continue;
-    queue.clear();
-    queue.push_back(start);
-    seen[start] = true;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (std::size_t j : strong[queue[head]]) {
-        if (!seen[j]) {
-          seen[j] = true;
-          queue.push_back(j);
-        }
-      }
-    }
-    for (std::size_t pos = 0; pos < queue.size(); pos += target) {
-      const std::size_t end = std::min(pos + target, queue.size());
-      members.emplace_back(queue.begin() + static_cast<std::ptrdiff_t>(pos),
-                           queue.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-  }
-  return finish_blocks(n, std::move(members));
-}
-
-double max_off_block_row_mass(const sparse::SparseMatrix& p,
-                              const Blocks& blocks) {
-  const std::size_t n = p.rows();
-  if (blocks.block_of.size() != n)
-    throw std::invalid_argument("max_off_block_row_mass: size mismatch");
-  const auto& offsets = p.row_offsets();
-  const auto& cols = p.col_indices();
-  const auto& vals = p.values();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double off = 0.0;
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-      if (blocks.block_of[cols[e]] != blocks.block_of[i]) off += vals[e];
-    worst = std::max(worst, off);
-  }
-  return worst;
-}
 
 std::vector<std::size_t> bandwidth_ordering(const sparse::SparseMatrix& p) {
   const std::size_t n = p.rows();

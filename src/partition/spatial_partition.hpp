@@ -3,56 +3,9 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/geometry/vec2.hpp"
 #include "src/sparse/sparse_matrix.hpp"
 
 namespace mocos::partition {
-
-/// Knobs for the block decomposition of a large chain.
-struct PartitionConfig {
-  /// KD bisection / structural packing stops splitting below this size.
-  std::size_t target_block_size = 64;
-  /// Transition probabilities >= this couple two PoIs "strongly"; the
-  /// structural partitioner keeps strongly-coupled PoIs in one block, and
-  /// max_off_block_row_mass() against this cutoff is the weak-coupling
-  /// diagnostic the A/D gate reports.
-  double coupling_cutoff = 0.05;
-};
-
-/// A disjoint cover of the PoI index set. Blocks are ordered, and members
-/// within a block are sorted ascending — both deterministic functions of the
-/// input, never of scheduling.
-struct Blocks {
-  std::vector<std::vector<std::size_t>> members;
-  std::vector<std::size_t> block_of;  // PoI index -> block index
-
-  [[nodiscard]] std::size_t count() const { return members.size(); }
-  [[nodiscard]] std::size_t size() const { return block_of.size(); }
-
-  /// Concatenated members in block order — the block-diagonal permutation
-  /// (new index -> original index).
-  [[nodiscard]] std::vector<std::size_t> permutation() const;
-};
-
-/// Spatial partitioner: recursive KD bisection of the PoI coordinates
-/// (median split along the wider axis, ties broken by index) until every
-/// leaf holds at most target_block_size PoIs. Deterministic.
-[[nodiscard]] Blocks spatial_blocks(const std::vector<geometry::Vec2>& positions,
-                                    const PartitionConfig& config = {});
-
-/// Structure-only partitioner for chains without coordinates: groups PoIs
-/// into the connected components of the strong-coupling graph
-/// (max(p_ij, p_ji) >= coupling_cutoff), then splits oversized components
-/// into contiguous runs of their BFS order. Deterministic (index-ordered
-/// BFS).
-[[nodiscard]] Blocks structural_blocks(const sparse::SparseMatrix& p,
-                                       const PartitionConfig& config = {});
-
-/// Largest off-block probability mass of any row: max_i Σ_{j ∉ blk(i)} p_ij.
-/// 0 for a fully decoupled chain; near 1 when the partition cuts through
-/// strong coupling (the A/D iteration's convergence degrades accordingly).
-[[nodiscard]] double max_off_block_row_mass(const sparse::SparseMatrix& p,
-                                            const Blocks& blocks);
 
 /// Reverse Cuthill–McKee ordering of the symmetrized pattern of P: a
 /// bandwidth-reducing permutation (new index -> original index) that makes

@@ -66,12 +66,4 @@ struct SolveDiagnostics {
     const ResolventSolveConfig& config = {}, SolveDiagnostics* diag = nullptr,
     bool transpose = false);
 
-/// Power iteration for πᵀP = πᵀ on a sparse chain — the recovery rung under
-/// the Krylov solver, mirroring markov::stationary_power_iteration but in
-/// O(nnz) per sweep. Returns kNotErgodic when the fixed-point residual
-/// ‖πP − π‖₁ does not reach `tol` within `max_iterations` sweeps.
-[[nodiscard]] util::StatusOr<linalg::Vector> try_stationary_power_sparse(
-    const SparseMatrix& p, std::size_t max_iterations = 20000,
-    double tol = 1e-12, SolveDiagnostics* diag = nullptr);
-
 }  // namespace mocos::sparse

@@ -7,6 +7,8 @@
 #include "src/core/problem.hpp"
 #include "src/geometry/paper_topologies.hpp"
 #include "src/markov/fundamental.hpp"
+#include "src/markov/passage_times.hpp"
+#include "src/markov/stationary.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/status.hpp"
@@ -20,6 +22,19 @@ namespace mocos::test {
 template <typename T>
 T unwrap(util::StatusOr<T> result) {
   return std::move(result).value();
+}
+
+/// The Kemeny–Snell pipeline, the independent reference for
+/// markov::try_analyze_chain: dense π, then Z = (I − P + W)⁻¹
+/// (markov::try_fundamental_matrix), then R from Z and π. Z and R come from
+/// their own LU, not from the resolvent G the analysis under test builds.
+inline markov::ChainAnalysis kemeny_snell_analysis(
+    const markov::TransitionMatrix& p) {
+  linalg::Vector pi = unwrap(
+      markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
+  linalg::Matrix z = unwrap(markov::try_fundamental_matrix(p.matrix(), pi));
+  linalg::Matrix r = unwrap(markov::try_first_passage_times(z, pi));
+  return markov::ChainAnalysis{p, std::move(pi), std::move(z), std::move(r)};
 }
 
 /// A small, asymmetric, ergodic 3-state chain with known structure used by

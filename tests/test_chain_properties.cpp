@@ -3,9 +3,10 @@
 // A seeded generator (Rng::stream, so chain k is reproducible in isolation)
 // produces hundreds of random ergodic chains of varying size; every chain
 // must satisfy the paper's Eqs. 5–8 identities, the descent's resolvent
-// solve must agree with the guarded reference pipeline (try_analyze_chain)
-// to 1e-10, and the closed-form exposure must equal Eq. 3 evaluated through
-// R. The descent evaluator's one-entry memo answers exact repeats only.
+// solve must agree with the Kemeny–Snell pipeline (dense π, then
+// Z = (I − P + W)⁻¹, then R) to 1e-10, and the closed-form exposure must
+// equal Eq. 3 evaluated through R. The descent evaluator's one-entry memo
+// answers exact repeats only.
 
 #include <algorithm>
 #include <cmath>
@@ -104,9 +105,8 @@ TEST(ChainProperties, CachedResolventMatchesFullAnalysis) {
     const auto solved = markov::try_resolvent_analysis(p);
     ASSERT_TRUE(solved.ok()) << solved.status().to_string();
     EXPECT_FALSE(solved->sparse);
-    const auto full = markov::try_analyze_chain(p);
-    ASSERT_TRUE(full.ok());
-    EXPECT_LE(analysis_diff(solved->chain, *full), kAgreementTol);
+    EXPECT_LE(analysis_diff(solved->chain, test::kemeny_snell_analysis(p)),
+              kAgreementTol);
 
     // The group inverse A# = Z − W satisfies Meyer's axioms for A = I − P:
     // A·A#·A = A, A#·A·A# = A#, A·A# = A#·A.

@@ -99,8 +99,9 @@ TEST(CorpusGenerator, ConfigsParseAndCarryTheStratumKeys) {
                              s.mix == "capture_minimax" || s.mix == "full";
     EXPECT_EQ(config.get_double("minimax_weight", 0.0) > 0.0, has_minimax)
         << s.id;
-    if (s.mix == "full")
+    if (s.mix == "full") {
       EXPECT_EQ(config.get_size("smoothmax_anneal_stages", 1), 2u) << s.id;
+    }
   }
 }
 

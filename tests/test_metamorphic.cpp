@@ -129,10 +129,10 @@ TEST(Metamorphic, ChainAnalysisRespectsPermutationSimilarity) {
 
 TEST(Metamorphic, PoiRelabelingInvariantAcrossSparseBlockBoundaries) {
   // Sparse-path variant of the relabeling relation: a support-restricted
-  // city problem analyzed through the block solver (SolvePolicy::kSparse)
+  // city problem analyzed through the sparse ladder (SolvePolicy::kSparse)
   // must report the same U / ΔC / Ē for any PoI relabeling — in particular
-  // one that scatters spatially-adjacent PoIs into different blocks, which
-  // catches any index confusion at the A/D stitching boundaries.
+  // one that scatters spatially-adjacent PoIs far apart, which catches any
+  // index confusion in the ladder's RCM permutation.
   geometry::CityConfig cfg;
   cfg.count = 36;
   cfg.seed = 12;

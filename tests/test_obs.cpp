@@ -288,8 +288,9 @@ TEST(ObsQuantile, EdgeCases) {
   EXPECT_EQ(obs::histogram_quantile(bounds, counts, 4, 1.0, 2.0, -1.0), 1.0);
   EXPECT_EQ(obs::histogram_quantile(bounds, counts, 4, 1.0, 2.0, 1.0), 2.0);
   EXPECT_EQ(obs::histogram_quantile(bounds, counts, 4, 1.0, 2.0, 2.0), 2.0);
-  EXPECT_THROW(obs::histogram_quantile(bounds, {0, 4, 0}, 4, 1.0, 2.0, 0.5),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)obs::histogram_quantile(bounds, {0, 4, 0}, 4, 1.0, 2.0, 0.5),
+      std::invalid_argument);
 }
 
 TEST(ObsQuantile, InterpolatesInsideTheTargetBucket) {

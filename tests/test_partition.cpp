@@ -2,154 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <numeric>
-
-#include "src/geometry/city_topology.hpp"
-#include "src/partition/block_solver.hpp"
-#include "src/util/rng.hpp"
-#include "tests/helpers.hpp"
 
 namespace mocos::partition {
 namespace {
-
-void expect_valid_cover(const Blocks& blocks, std::size_t n) {
-  EXPECT_EQ(blocks.size(), n);
-  std::vector<bool> seen(n, false);
-  for (std::size_t k = 0; k < blocks.count(); ++k) {
-    EXPECT_FALSE(blocks.members[k].empty());
-    EXPECT_TRUE(std::is_sorted(blocks.members[k].begin(),
-                               blocks.members[k].end()));
-    for (std::size_t i : blocks.members[k]) {
-      ASSERT_LT(i, n);
-      EXPECT_FALSE(seen[i]) << "PoI " << i << " in two blocks";
-      seen[i] = true;
-      EXPECT_EQ(blocks.block_of[i], k);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(seen[i]);
-  // permutation() really is a permutation of 0..n-1.
-  auto perm = blocks.permutation();
-  std::sort(perm.begin(), perm.end());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(perm[i], i);
-}
-
-TEST(SpatialBlocks, CoversAllPointsWithinTargetSize) {
-  geometry::CityConfig cfg;
-  cfg.count = 200;
-  cfg.seed = 3;
-  const auto topo = geometry::city_topology(cfg);
-  PartitionConfig pc;
-  pc.target_block_size = 32;
-  const Blocks blocks = spatial_blocks(topo.positions(), pc);
-  expect_valid_cover(blocks, 200);
-  for (const auto& members : blocks.members)
-    EXPECT_LE(members.size(), 32u);
-  EXPECT_GE(blocks.count(), 200u / 32u);
-}
-
-TEST(SpatialBlocks, DeterministicAcrossCalls) {
-  geometry::CityConfig cfg;
-  cfg.count = 90;
-  cfg.seed = 8;
-  const auto topo = geometry::city_topology(cfg);
-  const Blocks a = spatial_blocks(topo.positions());
-  const Blocks b = spatial_blocks(topo.positions());
-  EXPECT_EQ(a.members, b.members);
-  EXPECT_EQ(a.block_of, b.block_of);
-}
-
-TEST(SpatialBlocks, SingleBlockWhenTargetExceedsCount) {
-  geometry::CityConfig cfg;
-  cfg.count = 20;
-  const auto topo = geometry::city_topology(cfg);
-  PartitionConfig pc;
-  pc.target_block_size = 64;
-  const Blocks blocks = spatial_blocks(topo.positions(), pc);
-  expect_valid_cover(blocks, 20);
-  EXPECT_EQ(blocks.count(), 1u);
-}
-
-TEST(SpatialBlocks, OnePoiBlocksDegenerateTarget) {
-  geometry::CityConfig cfg;
-  cfg.count = 12;
-  const auto topo = geometry::city_topology(cfg);
-  PartitionConfig pc;
-  pc.target_block_size = 1;
-  const Blocks blocks = spatial_blocks(topo.positions(), pc);
-  expect_valid_cover(blocks, 12);
-  EXPECT_EQ(blocks.count(), 12u);
-  for (const auto& members : blocks.members) EXPECT_EQ(members.size(), 1u);
-}
-
-TEST(StructuralBlocks, RecoversDecoupledComponents) {
-  // Two 3-state chains glued into one 6-state block-diagonal matrix.
-  linalg::Matrix m(6, 6);
-  const auto fill = [&](std::size_t base) {
-    m(base + 0, base + 0) = 0.5;
-    m(base + 0, base + 1) = 0.3;
-    m(base + 0, base + 2) = 0.2;
-    m(base + 1, base + 0) = 0.1;
-    m(base + 1, base + 1) = 0.6;
-    m(base + 1, base + 2) = 0.3;
-    m(base + 2, base + 0) = 0.4;
-    m(base + 2, base + 1) = 0.4;
-    m(base + 2, base + 2) = 0.2;
-  };
-  fill(0);
-  fill(3);
-  const auto sp = sparse::SparseMatrix::from_dense(m);
-  const Blocks blocks = structural_blocks(sp);
-  expect_valid_cover(blocks, 6);
-  EXPECT_EQ(blocks.count(), 2u);
-  EXPECT_EQ(blocks.members[0], (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(blocks.members[1], (std::vector<std::size_t>{3, 4, 5}));
-  EXPECT_DOUBLE_EQ(max_off_block_row_mass(sp, blocks), 0.0);
-}
-
-TEST(StructuralBlocks, FullyCoupledMapCollapsesToOneBlock) {
-  util::Rng rng(13);
-  const auto p = test::random_positive_chain(16, rng);
-  const auto sp = sparse::SparseMatrix::from_dense(p.matrix());
-  PartitionConfig pc;
-  pc.coupling_cutoff = 1e-4;  // everything couples strongly
-  const Blocks blocks = structural_blocks(sp, pc);
-  expect_valid_cover(blocks, 16);
-  EXPECT_EQ(blocks.count(), 1u);
-
-  // A single block leaves nothing to aggregate: the block solver refuses
-  // with kInvalidConfig and callers drop to the dense pipeline.
-  const auto pi = try_block_stationary(sp, blocks);
-  ASSERT_FALSE(pi.ok());
-  EXPECT_EQ(pi.status().code(), util::StatusCode::kInvalidConfig);
-}
-
-TEST(StructuralBlocks, OversizedComponentIsSplit) {
-  util::Rng rng(19);
-  const auto p = test::random_positive_chain(24, rng);
-  const auto sp = sparse::SparseMatrix::from_dense(p.matrix());
-  PartitionConfig pc;
-  pc.coupling_cutoff = 1e-4;
-  pc.target_block_size = 6;
-  const Blocks blocks = structural_blocks(sp, pc);
-  expect_valid_cover(blocks, 24);
-  EXPECT_EQ(blocks.count(), 4u);
-  for (const auto& members : blocks.members) EXPECT_LE(members.size(), 6u);
-}
-
-TEST(MaxOffBlockRowMass, MeasuresCutProbability) {
-  linalg::Matrix m(4, 4);
-  m(0, 0) = 0.9;
-  m(0, 2) = 0.1;  // 0.1 leaks out of block {0,1}
-  m(1, 0) = 1.0;
-  m(2, 3) = 1.0;
-  m(3, 2) = 1.0;
-  const auto sp = sparse::SparseMatrix::from_dense(m);
-  Blocks blocks;
-  blocks.members = {{0, 1}, {2, 3}};
-  blocks.block_of = {0, 0, 1, 1};
-  EXPECT_NEAR(max_off_block_row_mass(sp, blocks), 0.1, 1e-15);
-}
 
 TEST(BandwidthOrdering, RecoversBandOfShuffledPath) {
   // A path graph labeled by a stride permutation has bandwidth ~n/2; RCM

@@ -11,6 +11,7 @@
 #include "src/markov/resolvent.hpp"
 #include "src/markov/solve_policy.hpp"
 #include "src/markov/stationary.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
@@ -41,6 +42,28 @@ double max_rel_gap(const linalg::Matrix& a, const linalg::Matrix& b) {
       gap = std::max(gap, std::abs(a(i, j) - b(i, j)) /
                               std::max(1.0, std::abs(b(i, j))));
   return gap;
+}
+
+/// Whether the ladder serves `p` on its banded rung (else BiCGSTAB).
+bool banded_rung(const markov::TransitionMatrix& p) {
+  const linalg::Vector c(p.size(), 1.0 / static_cast<double>(p.size()));
+  const auto csr = sparse::SparseMatrix::from_dense(p.matrix());
+  return test::unwrap(partition::SparseResolvent::try_factor(csr, c)).banded();
+}
+
+/// Factors `p` under kSparse with a metrics registry installed and returns
+/// how many times it fell back to the dense LU.
+std::uint64_t sparse_fallbacks(const markov::TransitionMatrix& p) {
+  using markov::SolvePolicy;
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedMetrics install(&registry);
+    const linalg::Matrix& m = p.matrix();
+    const auto res = markov::Resolvent::try_factor(m, SolvePolicy::kSparse);
+    EXPECT_TRUE(res.ok() && res->sparse());
+  }
+  EXPECT_EQ(registry.counter("markov.sparse.solves").value(), 1u);
+  return registry.counter("markov.sparse.fallbacks").value();
 }
 
 TEST(CityTopology, DeterministicSeparatedAndSeeded) {
@@ -80,61 +103,27 @@ TEST(CityTopology, RadiusNeighborsMatchBruteForce) {
   }
 }
 
-TEST(BlockStationary, MatchesDenseOnCityChain) {
-  const auto p = city_chain(196, 1);
-  const auto sp = sparse::SparseMatrix::from_dense(p.matrix());
-  const auto blocks = partition::structural_blocks(sp, {});
-  partition::SparseSolveStats stats;
-  const auto pi = partition::try_block_stationary(sp, blocks, {}, {}, &stats);
-  ASSERT_TRUE(pi.ok()) << pi.status().message();
-  const linalg::Vector ref = test::unwrap(
-      markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
-  EXPECT_LE(max_abs_gap(*pi, ref), 1e-10);
-  EXPECT_GE(stats.blocks, 2u);
-  EXPECT_GT(stats.ad_sweeps, 0u);
-  EXPECT_LE(stats.ad_residual, 1e-12);
-}
-
 TEST(SparseAnalysis, PiAndPassageTimesMatchDense) {
+  // try_analyze_chain on the sparse ladder against the Kemeny–Snell
+  // pipeline: the 1e-10 parity contract on π, Z and R.
   const auto p = city_chain(196, 2);
-  partition::SparseSolveStats stats;
-  const auto sparse_chain =
-      partition::try_sparse_analyze_chain(p, {}, {}, &stats);
-  ASSERT_TRUE(sparse_chain.ok()) << sparse_chain.status().message();
-  const markov::ChainAnalysis dense =
-      test::unwrap(markov::try_analyze_chain(p, markov::SolvePolicy::kDense));
-
-  // The acceptance contract: pi and R agree with the dense pipeline to 1e-8
-  // on weakly-coupled fixtures.
-  EXPECT_LE(max_abs_gap(sparse_chain->pi, dense.pi), 1e-8);
-  EXPECT_LE(max_rel_gap(sparse_chain->r, dense.r), 1e-8);
-  EXPECT_LE(max_rel_gap(sparse_chain->z, dense.z), 1e-8);
-  EXPECT_LE(stats.pi_gap, 1e-8);
-  EXPECT_TRUE(stats.used_banded || stats.used_bicgstab);
-}
-
-TEST(SparseAnalysis, BitIdenticalForAnyJobCount) {
-  const auto p = city_chain(144, 3);
-  const runtime::ExecutionContext serial(1);
-  const runtime::ExecutionContext parallel(4);
-  const auto a = partition::try_sparse_analyze_chain(p, {}, serial);
-  const auto b = partition::try_sparse_analyze_chain(p, {}, parallel);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (std::size_t i = 0; i < a->pi.size(); ++i)
-    EXPECT_EQ(a->pi[i], b->pi[i]);
-  for (std::size_t i = 0; i < 144; ++i)
-    for (std::size_t j = 0; j < 144; ++j) {
-      EXPECT_EQ(a->z(i, j), b->z(i, j));
-      EXPECT_EQ(a->r(i, j), b->r(i, j));
-    }
+  const markov::ChainAnalysis sparse_chain =
+      test::unwrap(markov::try_analyze_chain(p, markov::SolvePolicy::kSparse));
+  const markov::ChainAnalysis reference = test::kemeny_snell_analysis(p);
+  EXPECT_LE(max_abs_gap(sparse_chain.pi, reference.pi), 1e-10);
+  EXPECT_LE(max_rel_gap(sparse_chain.z, reference.z), 1e-10);
+  EXPECT_LE(max_rel_gap(sparse_chain.r, reference.r), 1e-10);
+  EXPECT_EQ(sparse_fallbacks(p), 0u);
 }
 
 TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
-  // A dense random chain has no weak coupling to cut: the block solver falls
-  // back internally (power-iteration cross-check) or the dispatcher falls
-  // through to dense — either way the answer must match the dense pipeline.
+  // A dense random chain has RCM bandwidth above the banded rung's cap, so
+  // the ladder serves it by BiCGSTAB, whose π passes the fixed-point gate;
+  // the answer must match the dense pipeline.
   util::Rng rng(31);
   const auto p = test::random_positive_chain(24, rng);
+  EXPECT_FALSE(banded_rung(p));
+  EXPECT_EQ(sparse_fallbacks(p), 0u);
   const auto chain = markov::try_analyze_chain(p, markov::SolvePolicy::kSparse);
   ASSERT_TRUE(chain.ok()) << chain.status().message();
   const auto dense = markov::try_analyze_chain(p, markov::SolvePolicy::kDense);
@@ -204,8 +193,8 @@ TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
 }
 
 TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
-  // The descent's resolvent solve on the sparse ladder agrees with the dense
-  // from-scratch analysis to 1e-10, at the start chain and along a walk of
+  // The descent's resolvent solve on the sparse ladder agrees with the
+  // Kemeny–Snell pipeline to 1e-10, at the start chain and along a walk of
   // support-preserving row perturbations.
   const auto start = city_chain(64, 6);
   linalg::Matrix m = start.matrix();
@@ -216,8 +205,7 @@ TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
         markov::try_resolvent_analysis(p, markov::SolvePolicy::kSparse);
     ASSERT_TRUE(got.ok()) << got.status().message();
     EXPECT_TRUE(got->sparse) << "step " << step;  // G came from the ladder
-    const markov::ChainAnalysis ref =
-        test::unwrap(markov::try_analyze_chain(p, markov::SolvePolicy::kDense));
+    const markov::ChainAnalysis ref = test::kemeny_snell_analysis(p);
     EXPECT_LE(max_abs_gap(got->chain.pi, ref.pi), 1e-10) << "step " << step;
     EXPECT_LE(max_rel_gap(got->chain.z, ref.z), 1e-10) << "step " << step;
     EXPECT_LE(max_rel_gap(got->chain.r, ref.r), 1e-10) << "step " << step;
@@ -234,10 +222,13 @@ TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
 }
 
 TEST(SparseResolvent, StationarySolveMatchesDense) {
-  // π on the sparse route is one transposed banded solve: the probes' π-only
-  // analysis and try_stationary_distribution share it, and both agree with
-  // the dense LU to 1e-10.
+  // π on the sparse route is one transposed banded solve that passes the
+  // fixed-point gate: the probes' π-only analysis and
+  // try_stationary_distribution share it, and both agree with the dense LU
+  // to 1e-10.
   const auto p = city_chain(256, 4);
+  EXPECT_TRUE(banded_rung(p));
+  EXPECT_EQ(sparse_fallbacks(p), 0u);
   const linalg::Vector dense = test::unwrap(
       markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
   const linalg::Vector sparse = test::unwrap(
@@ -253,6 +244,20 @@ TEST(SparseResolvent, StationarySolveMatchesDense) {
   EXPECT_TRUE(probe.chain.z.empty());
   EXPECT_TRUE(probe.chain.r.empty());
   EXPECT_LE(max_abs_gap(probe.chain.pi, dense), 1e-10);
+}
+
+TEST(SparseResolvent, ResidualGateRejectsPerturbedPi) {
+  // The gate accepts the dense π and rejects it moved by 1e-9 between two
+  // PoIs (unit mass kept), far outside the 1e-12 fixed-point tolerance.
+  const auto p = city_chain(256, 4);
+  const auto csr = sparse::SparseMatrix::from_dense(p.matrix());
+  linalg::Vector pi = test::unwrap(
+      markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
+  EXPECT_TRUE(markov::check_stationary_residual(csr, pi).is_ok());
+  pi[0] += 1e-9;
+  pi[1] -= 1e-9;
+  const util::Status moved = markov::check_stationary_residual(csr, pi);
+  EXPECT_EQ(moved.code(), util::StatusCode::kNotErgodic);
 }
 
 TEST(SparseDescent, SupportRestrictedProblemKeepsZerosEndToEnd) {

@@ -124,17 +124,6 @@ TEST(ResolventSolver, ReportsDeterministicResults) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*x1)[i], (*x2)[i]);
 }
 
-TEST(StationaryPowerSparse, MatchesDenseStationary) {
-  const std::size_t n = 40;
-  const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
-  const auto pi = try_stationary_power_sparse(sp);
-  ASSERT_TRUE(pi.ok()) << pi.status().message();
-  const linalg::Vector ref =
-      test::unwrap(markov::try_stationary_distribution(p));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*pi)[i], ref[i], 1e-10);
-}
-
 TEST(BandedResolventLu, MatchesDenseAnchoredSolve) {
   // ring_chain has wraparound entries; build a pure band instead: a lazy
   // random walk on a path.

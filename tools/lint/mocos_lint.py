@@ -130,10 +130,9 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 # byte-identical at any --jobs count; its deadline/watchdog clock sites
 # carry explicit det-time suppressions (server.cpp documents why timing
 # may steer *scheduling* there but never response bytes).
-# src/sparse/ and src/partition/ are on the list because the resolvent
-# ladder fans per-column solves and per-block refreshes out over
-# runtime::parallel_for under the same bit-identical-for-any---jobs
-# contract as the dense pipeline.
+# src/sparse/ and src/partition/ are on the list because every descent
+# probe on a sparse route runs the resolvent ladder, so it is held to the
+# same bit-identical-for-any---jobs contract as the dense pipeline.
 DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
                      "src/markov/resolvent", "src/obs/", "src/serve/",
                      "src/sparse/", "src/partition/")
@@ -145,8 +144,8 @@ DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
 # promise (a numerical fault costs one structured error response, never the
 # process) only holds if it, too, never touches an unguarded solver. The
 # sparse/partition ladder exists to *fall back* on numerical failure
-# (banded → BiCGSTAB → dense, A/D → power → dense), which is only possible
-# when every rung reports through Status instead of throwing.
+# (banded → BiCGSTAB → dense), which is only possible when every rung
+# reports through Status instead of throwing.
 RAW_SOLVER_SCOPE = ("src/descent/", "src/markov/resolvent", "src/serve/",
                     "src/sparse/", "src/partition/")
 
