@@ -1,7 +1,7 @@
 // Scaling of the optimizer with the number of PoIs M: per-iteration cost of
-// the analytic machinery is O(M^3) (LU for Z) plus O(M^4) for the coverage
-// gradient's per-PoI kernels — small-M friendly, exactly the regime the
-// paper targets. This bench reports wall time and achieved cost on random
+// the analytic machinery is O(M^3) for the chain solve's LU, while the
+// coverage objectives run over the O(M^2) durations plus the coverage
+// entries — small-M friendly, exactly the regime the paper targets. This bench reports wall time and achieved cost on random
 // topologies of growing size.
 
 #include <chrono>

@@ -21,14 +21,15 @@ namespace mocos::cli {
 ///   cell      = <double>                           (grid/city cell size, def. 1)
 ///   speed, pause, radius                           (physics; defaults 1/1/.25)
 ///   support_radius = <double>  (when > 0: restrict transitions to PoI pairs
-///               within this travel distance and build the coverage tensors
-///               sparsely over that support — required to go past M ≈ 500,
-///               where the dense O(M³) tensors stop fitting in memory)
+///               within this travel distance; the coverage entries are then
+///               listed over that support only. Not supported with
+///               starts > 1)
 ///   alpha, beta, epsilon                           (objective weights)
 ///   energy_gamma, energy_target, entropy_weight    (§VII extensions)
 ///   event_rates = l1,l2,...   (per-PoI Poisson event rates λ_i; enables the
 ///               information-capture term when information_gamma > 0 and
-///               feeds the event-capture term when capture_weight > 0)
+///               feeds the event-capture term when capture_weight > 0; both
+///               compose with support_radius > 0)
 ///   information_gamma = <double>   (information-capture weight, default 1;
 ///               <= 0 disables that term even with event_rates set)
 ///   capture_weight, capture_duration   (event-capture objective: weight > 0
@@ -57,7 +58,7 @@ core::Problem build_problem(const util::Config& config);
 ///   step       = <double>    (basic algorithm's Δt)
 ///   starts     = <n>         (perturbed only: multi-start count, runs on
 ///                             `ctx`; the winner is bit-identical for any
-///                             job count)
+///                             job count; refused with support_radius > 0)
 ///   smoothmax_beta_final = <double>, smoothmax_anneal_stages = <n>
 ///                            (β annealing: with stages >= 2 the run splits
 ///                             into that many warm-started legs — iterations

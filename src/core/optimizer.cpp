@@ -60,6 +60,12 @@ OptimizationOutcome CoverageOptimizer::run(
     if (options_.algorithm != Algorithm::kPerturbed)
       throw std::invalid_argument(
           "CoverageOptimizer: starts > 1 requires the perturbed algorithm");
+    // Multi-start draws dense random starts, which would put probability on
+    // transitions outside the support that no coverage entry prices.
+    if (!problem_.support().empty())
+      throw std::invalid_argument(
+          "CoverageOptimizer: starts > 1 is not supported with "
+          "support_radius > 0");
     const cost::CompositeCost cost =
         problem_.make_cost(options_.smoothmax_beta_override);
     descent::MultiStartConfig cfg;
@@ -75,10 +81,10 @@ OptimizationOutcome CoverageOptimizer::run(
                   std::move(ms.best.recovery), ms.best.chain_stats);
   }
   util::Rng rng(options_.seed);
-  // A support-restricted problem must start on its support: the sparse
-  // coverage tensors only store entries over the support, so a dense start
-  // would put probability on transitions whose coverage was never computed
-  // (and would defeat the sparse chain solver besides).
+  // A support-restricted problem must start on its support: its coverage
+  // entries cover only the support, so a dense start would put probability
+  // on transitions whose coverage was never computed (and would defeat the
+  // sparse chain solver besides).
   if (!problem_.support().empty())
     return run(descent::support_uniform_start(problem_.support()));
   const markov::TransitionMatrix start =

@@ -28,7 +28,8 @@ struct OptimizerOptions {
   /// Multi-start (perturbed algorithm only): run this many independent
   /// V2-random starts and keep the best — the paper's Fig. 2 protocol as a
   /// single call. Starts run on the ExecutionContext handed to run(); the
-  /// winner is bit-identical for any job count.
+  /// winner is bit-identical for any job count. run() refuses starts > 1 on
+  /// a support-restricted problem: the random starts are dense.
   std::size_t starts = 1;
   /// Cooperative cancellation: polled once per descent iteration; returning
   /// true ends the run with StopReason::kCancelled and the best iterate so

@@ -88,15 +88,8 @@ std::vector<double> Problem::resolved_event_rates() const {
 cost::CompositeCost Problem::make_cost(
     std::optional<double> smoothmax_beta_override) const {
   cost::CompositeCost u;
-  // Information capture stays gated on the dense coverage matrices; event
-  // capture needs only (π, Z) and composes with sparse problems, so rates
-  // alone no longer force the dense path.
   const bool info_enabled =
       !weights_.event_rates.empty() && weights_.information_gamma > 0.0;
-  if (tensors_.sparse() && info_enabled)
-    throw std::invalid_argument(
-        "Problem: the information-capture objective needs the dense per-PoI "
-        "coverage matrices and cannot be combined with support_radius > 0");
   const auto alphas = resolve_weights(weights_.alpha, weights_.alpha_per_poi,
                                       num_pois(), "alpha");
   if (!alphas.empty())

@@ -53,10 +53,8 @@ struct Physics {
   double pause = 1.0;
   double sensing_radius = 0.25;
   /// When > 0, restrict the chain's support to PoI pairs within this travel
-  /// distance (plus the self loop) and build the coverage tensors sparsely
-  /// over that support — the O(M³) → O(M²·local) memory reduction that makes
-  /// city-scale (M ≥ 1024) problems representable. 0 keeps the original
-  /// dense, fully-connected behavior.
+  /// distance (plus the self loop); the coverage entries are then listed
+  /// over that support only. 0 keeps the original fully-connected chain.
   double support_radius = 0.0;
 };
 
@@ -82,7 +80,7 @@ class Problem {
   const Physics& physics() const { return physics_; }
 
   /// The support adjacency (sorted, self included) when support_radius > 0;
-  /// empty for dense problems.
+  /// empty when every transition is allowed.
   const std::vector<std::vector<std::size_t>>& support() const {
     return tensors_.support();
   }

@@ -8,25 +8,17 @@ namespace mocos::cost {
 CoverageDeviationTerm::CoverageDeviationTerm(
     const sensing::CoverageTensors& tensors, const std::vector<double>& targets,
     std::vector<double> alphas)
-    : alphas_(std::move(alphas)) {
+    : entries_(tensors.entries()),
+      durations_(tensors.durations()),
+      targets_(targets),
+      alphas_(std::move(alphas)) {
   if (alphas_.size() != tensors.num_pois())
     throw std::invalid_argument("CoverageDeviationTerm: alpha count mismatch");
   for (double a : alphas_)
     if (a < 0.0)
       throw std::invalid_argument("CoverageDeviationTerm: negative alpha");
-  if (tensors.sparse()) {
-    if (targets.size() != tensors.num_pois())
-      throw std::invalid_argument(
-          "CoverageDeviationTerm: target size mismatch");
-    sparse_ = true;
-    entries_.reserve(tensors.num_pois());
-    for (std::size_t i = 0; i < tensors.num_pois(); ++i)
-      entries_.push_back(tensors.coverage_entries(i));
-    durations_ = tensors.durations();
-    targets_ = targets;
-  } else {
-    kernels_ = tensors.deviation_kernels(targets);
-  }
+  if (targets_.size() != tensors.num_pois())
+    throw std::invalid_argument("CoverageDeviationTerm: target size mismatch");
 }
 
 CoverageDeviationTerm::CoverageDeviationTerm(
@@ -38,38 +30,11 @@ CoverageDeviationTerm::CoverageDeviationTerm(
 linalg::Vector CoverageDeviationTerm::discrepancies(
     const markov::ChainAnalysis& chain) const {
   const std::size_t n = chain.p.size();
-  if (n != alphas_.size())
-    throw std::invalid_argument("CoverageDeviationTerm: chain size mismatch");
+  const sensing::CoverageSums sums =
+      sensing::coverage_sums(entries_, durations_, chain.pi, chain.p.matrix());
   linalg::Vector g(n, 0.0);
-  if (sparse_) {
-    // Ē = Σ_{j,k} π_j p_jk T_jk; exact zero transitions (the structural
-    // zeros of a support-restricted chain) contribute nothing.
-    double expected = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double pj = chain.pi[j];
-      for (std::size_t k = 0; k < n; ++k) {
-        const double pjk = chain.p(j, k);
-        // mocos-lint: allow(float-eq)
-        if (pjk != 0.0) expected += pj * pjk * durations_(j, k);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      double covered = 0.0;
-      for (const sensing::CoverageEntry& e : entries_[i])
-        covered += chain.pi[e.j] * chain.p(e.j, e.k) * e.value;
-      g[i] = covered - targets_[i] * expected;
-    }
-    return g;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const linalg::Matrix& b = kernels_[i];
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double pj = chain.pi[j];
-      for (std::size_t k = 0; k < n; ++k) s += pj * chain.p(j, k) * b(j, k);
-    }
-    g[i] = s;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    g[i] = sums.covered[i] - targets_[i] * sums.expected;
   return g;
 }
 
@@ -84,55 +49,44 @@ void CoverageDeviationTerm::accumulate_partials(
     const markov::ChainAnalysis& chain, Partials& out) const {
   const std::size_t n = chain.p.size();
   const linalg::Vector g = discrepancies(chain);
-  // dU = Σ_i α_i g_i dg_i with
-  //   ∂g_i/∂π_j     = Σ_k p_jk B^i_jk
-  //   ∂g_i/∂p_jk    = π_j B^i_jk
-  if (sparse_) {
-    // B^i_jk = T_jk,i − Φ_i T_jk: the coverage part runs over the sparse
-    // entries; the −Φ_i T_jk part is identical in shape for every i, so it
-    // collapses into one dense O(M²) pass scaled by Σ_i w_i Φ_i.
-    double phi_dot = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w = alphas_[i] * g[i];
-      phi_dot += w * targets_[i];
-      // Exact on purpose: every partial is scaled by w, so skipping an
-      // exact zero is lossless; skipping near-zeros would bias the gradient.
-      // mocos-lint: allow(float-eq)
-      if (w == 0.0) continue;
-      for (const sensing::CoverageEntry& e : entries_[i]) {
-        out.du_dp(e.j, e.k) += w * chain.pi[e.j] * e.value;
-        out.du_dpi[e.j] += w * chain.p(e.j, e.k) * e.value;
-      }
-    }
-    // mocos-lint: allow(float-eq)
-    if (phi_dot != 0.0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double row_dot = 0.0;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double t = durations_(j, k);
-          row_dot += chain.p(j, k) * t;
-          out.du_dp(j, k) -= phi_dot * chain.pi[j] * t;
-        }
-        out.du_dpi[j] -= phi_dot * row_dot;
-      }
-    }
-    return;
-  }
+  // dU = Σ_i α_i g_i dg_i with g_i = N_i − Φ_i Ē: the −Φ_i Ē parts are
+  // identical in shape for every i, so they collapse into one dense pass
+  // scaled by Σ_i w_i Φ_i.
+  std::vector<double> w(n);
+  double phi_dot = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double w = alphas_[i] * g[i];
-    // Exact on purpose: every partial below is scaled by w, so skipping an
-    // exact zero is lossless; skipping near-zeros would bias the gradient.
+    w[i] = alphas_[i] * g[i];
+    phi_dot += w[i] * targets_[i];
+  }
+  add_coverage_sums_partials(entries_, durations_, chain, w, -phi_dot, out);
+}
+
+void add_coverage_sums_partials(
+    const std::vector<std::vector<sensing::CoverageEntry>>& entries,
+    const linalg::Matrix& durations, const markov::ChainAnalysis& chain,
+    const std::vector<double>& w, double c, Partials& out) {
+  // Exact on purpose (both checks): every partial is scaled by the weight,
+  // so skipping an exact zero is lossless; skipping near-zeros would bias
+  // the gradient.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     // mocos-lint: allow(float-eq)
-    if (w == 0.0) continue;
-    const linalg::Matrix& b = kernels_[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      double row_dot = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        row_dot += chain.p(j, k) * b(j, k);
-        out.du_dp(j, k) += w * chain.pi[j] * b(j, k);
-      }
-      out.du_dpi[j] += w * row_dot;
+    if (w[i] == 0.0) continue;
+    for (const sensing::CoverageEntry& e : entries[i]) {
+      out.du_dp(e.j, e.k) += w[i] * chain.pi[e.j] * e.value;
+      out.du_dpi[e.j] += w[i] * chain.p(e.j, e.k) * e.value;
     }
+  }
+  // mocos-lint: allow(float-eq)
+  if (c == 0.0) return;
+  const std::size_t n = durations.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    double row_dot = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = durations(j, k);
+      row_dot += chain.p(j, k) * t;
+      out.du_dp(j, k) += c * chain.pi[j] * t;
+    }
+    out.du_dpi[j] += c * row_dot;
   }
 }
 

@@ -12,13 +12,10 @@ namespace mocos::cost {
 ///   U_cov = Σ_i ½ α_i g_i²,   g_i = Σ_{j,k} π_j p_jk (T_jk,i − Φ_i T_jk).
 ///
 /// g_i measures, per unit of expected transition, how far PoI i's covered
-/// time runs above/below its target share of the total elapsed time.
-///
-/// Dense tensors: the deviation kernels B^i_jk = T_jk,i − Φ_i T_jk are
-/// precomputed (O(M³) storage). Sparse tensors (city-scale): g_i splits into
-/// the sparse coverage sum Σ π_j p_jk T_jk,i over stored entries minus
-/// Φ_i · Ē with Ē = Σ π_j p_jk T_jk — exact for every P, with no O(M³)
-/// object anywhere.
+/// time runs above/below its target share of the total elapsed time. It
+/// splits into the coverage sum over PoI i's entries minus Φ_i · Ē with
+/// Ē = Σ π_j p_jk T_jk (sensing::coverage_sums) — exact for every P, with no
+/// O(M³) object anywhere.
 class CoverageDeviationTerm final : public CostTerm {
  public:
   /// `alphas` are the per-PoI weights α_i (all equal in the paper's §VI).
@@ -40,13 +37,19 @@ class CoverageDeviationTerm final : public CostTerm {
   linalg::Vector discrepancies(const markov::ChainAnalysis& chain) const;
 
  private:
-  std::vector<linalg::Matrix> kernels_;  // B^i (dense mode only)
-  // Sparse mode: per-PoI coverage entries + the dense duration matrix.
-  bool sparse_ = false;
   std::vector<std::vector<sensing::CoverageEntry>> entries_;
   linalg::Matrix durations_;
   std::vector<double> targets_;
   std::vector<double> alphas_;
 };
+
+/// Adds Σ_i w_i ∂N_i/∂(π, P) + c ∂Ē/∂(π, P) for the sensing::coverage_sums
+/// N_i (over PoI i's entries) and Ē (over the dense durations):
+///   ∂N_i/∂π_j = Σ_k p_jk T_jk,i,   ∂N_i/∂p_jk = π_j T_jk,i,
+/// and the same for Ē with T_jk.
+void add_coverage_sums_partials(
+    const std::vector<std::vector<sensing::CoverageEntry>>& entries,
+    const linalg::Matrix& durations, const markov::ChainAnalysis& chain,
+    const std::vector<double>& w, double c, Partials& out);
 
 }  // namespace mocos::cost

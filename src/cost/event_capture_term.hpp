@@ -34,7 +34,7 @@ namespace mocos::cost {
 ///
 /// so minimizing the composite cost maximizes the captured-event fraction.
 /// Unlike InformationCaptureTerm this needs no coverage tensors — only
-/// (π, Z) — so it composes with support-restricted (sparse) problems.
+/// (π, Z).
 class EventCaptureTerm final : public CostTerm {
  public:
   /// `rates` are per-PoI arrival rates λ_i (non-negative, at least one

@@ -3,48 +3,42 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/cost/coverage_term.hpp"
+
 namespace mocos::cost {
 
 InformationCaptureTerm::InformationCaptureTerm(
     const sensing::CoverageTensors& tensors, std::vector<double> rates,
     double gamma)
-    : durations_(tensors.durations()), rates_(std::move(rates)),
-      gamma_(gamma) {
-  const std::size_t n = tensors.num_pois();
-  if (rates_.size() != n)
+    : entries_(tensors.entries()), durations_(tensors.durations()),
+      rates_(std::move(rates)), gamma_(gamma) {
+  if (rates_.size() != tensors.num_pois())
     throw std::invalid_argument("InformationCaptureTerm: rate count");
   for (double r : rates_)
     if (r < 0.0)
       throw std::invalid_argument("InformationCaptureTerm: negative rate");
   if (gamma_ <= 0.0)
     throw std::invalid_argument("InformationCaptureTerm: gamma must be > 0");
-  coverage_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) coverage_.push_back(tensors.coverage_of(i));
+}
+
+double InformationCaptureTerm::capture_rate(
+    const sensing::CoverageSums& sums) const {
+  double j_total = 0.0;
+  for (std::size_t i = 0; i < rates_.size(); ++i) {
+    // Exact on purpose: rate == 0 means the PoI has no event stream by
+    // config contract; the skip is lossless because every contribution is
+    // scaled by rates_[i].
+    // mocos-lint: allow(float-eq)
+    if (rates_[i] == 0.0) continue;
+    j_total += rates_[i] * sums.covered[i] / sums.expected;
+  }
+  return j_total;
 }
 
 double InformationCaptureTerm::capture_rate(
     const markov::ChainAnalysis& chain) const {
-  const std::size_t n = chain.p.size();
-  if (n != rates_.size())
-    throw std::invalid_argument("InformationCaptureTerm: chain size");
-  double d = 0.0;
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k = 0; k < n; ++k)
-      d += chain.pi[j] * chain.p(j, k) * durations_(j, k);
-  double j_total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Exact on purpose (all four sites in this file): rate == 0 means the
-    // PoI has no event stream by config contract; the skip is lossless
-    // because every contribution is scaled by rates_[i].
-    // mocos-lint: allow(float-eq)
-    if (rates_[i] == 0.0) continue;
-    double num = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        num += chain.pi[j] * chain.p(j, k) * coverage_[i](j, k);
-    j_total += rates_[i] * num / d;
-  }
-  return j_total;
+  return capture_rate(sensing::coverage_sums(entries_, durations_, chain.pi,
+                                             chain.p.matrix()));
 }
 
 double InformationCaptureTerm::value(
@@ -54,56 +48,16 @@ double InformationCaptureTerm::value(
 
 void InformationCaptureTerm::accumulate_partials(
     const markov::ChainAnalysis& chain, Partials& out) const {
-  const std::size_t n = chain.p.size();
-  if (n != rates_.size())
-    throw std::invalid_argument("InformationCaptureTerm: chain size");
-
-  // D and the per-PoI numerators N_i, plus their partial derivatives:
-  //   ∂N_i/∂π_j = Σ_k p_jk T_jk,i,  ∂N_i/∂p_jk = π_j T_jk,i (same shape for
-  //   D with T_jk). For U = −γ Σ_i λ_i N_i/D:
-  //   ∂U/∂x = −γ Σ_i λ_i (∂N_i/∂x · D − N_i · ∂D/∂x) / D².
-  double d = 0.0;
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k = 0; k < n; ++k)
-      d += chain.pi[j] * chain.p(j, k) * durations_(j, k);
-  const double d2 = d * d;
-
-  std::vector<double> num(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    // mocos-lint: allow(float-eq)
-    if (rates_[i] == 0.0) continue;
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        num[i] += chain.pi[j] * chain.p(j, k) * coverage_[i](j, k);
-  }
-
-  for (std::size_t j = 0; j < n; ++j) {
-    double dd_dpi = 0.0;
-    for (std::size_t k = 0; k < n; ++k)
-      dd_dpi += chain.p(j, k) * durations_(j, k);
-    double dpi_acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      // mocos-lint: allow(float-eq)
-      if (rates_[i] == 0.0) continue;
-      double dn_dpi = 0.0;
-      for (std::size_t k = 0; k < n; ++k)
-        dn_dpi += chain.p(j, k) * coverage_[i](j, k);
-      dpi_acc += rates_[i] * (dn_dpi * d - num[i] * dd_dpi) / d2;
-    }
-    out.du_dpi[j] += -gamma_ * dpi_acc;
-
-    for (std::size_t k = 0; k < n; ++k) {
-      const double dd_dp = chain.pi[j] * durations_(j, k);
-      double dp_acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        // mocos-lint: allow(float-eq)
-        if (rates_[i] == 0.0) continue;
-        const double dn_dp = chain.pi[j] * coverage_[i](j, k);
-        dp_acc += rates_[i] * (dn_dp * d - num[i] * dd_dp) / d2;
-      }
-      out.du_dp(j, k) += -gamma_ * dp_acc;
-    }
-  }
+  const sensing::CoverageSums sums = sensing::coverage_sums(
+      entries_, durations_, chain.pi, chain.p.matrix());
+  // For U = −γ J with J = Σ_i λ_i N_i / D (N_i = sums.covered[i],
+  // D = sums.expected), the quotient rule gives
+  //   ∂U/∂x = −(γ/D) Σ_i λ_i ∂N_i/∂x + (γ J / D) ∂D/∂x.
+  const double scale = gamma_ / sums.expected;
+  std::vector<double> w(rates_.size());
+  for (std::size_t i = 0; i < rates_.size(); ++i) w[i] = -scale * rates_[i];
+  add_coverage_sums_partials(entries_, durations_, chain, w,
+                             scale * capture_rate(sums), out);
 }
 
 }  // namespace mocos::cost

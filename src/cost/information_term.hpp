@@ -20,9 +20,10 @@ namespace mocos::cost {
 ///   N_i = Σ_{j,k} π_j p_jk T_jk,i,   D = Σ_{j,k} π_j p_jk T_jk,
 ///
 /// and the term contributes U_J = −γ·J so that minimizing the composite
-/// cost maximizes capture. Unlike the coverage-deviation term, this is a
-/// ratio of two bilinear forms in (π, P), so its partials carry quotient
-/// terms.
+/// cost maximizes capture. N_i and D are sensing::coverage_sums over the
+/// coverage entries and the dense durations. Unlike the coverage-deviation
+/// term, this is a ratio of two bilinear forms in (π, P), so its partials
+/// carry quotient terms.
 class InformationCaptureTerm final : public CostTerm {
  public:
   /// `rates` are the per-PoI event rates λ_i (non-negative); γ > 0 scales
@@ -39,8 +40,10 @@ class InformationCaptureTerm final : public CostTerm {
   double capture_rate(const markov::ChainAnalysis& chain) const;
 
  private:
-  std::vector<linalg::Matrix> coverage_;  // T_jk,i per PoI
-  linalg::Matrix durations_;              // T_jk
+  double capture_rate(const sensing::CoverageSums& sums) const;
+
+  std::vector<std::vector<sensing::CoverageEntry>> entries_;  // T_jk,i
+  linalg::Matrix durations_;                                   // T_jk
   std::vector<double> rates_;
   double gamma_;
 };

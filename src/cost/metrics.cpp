@@ -10,30 +10,11 @@ namespace mocos::cost {
 std::vector<double> coverage_shares(const markov::ChainAnalysis& chain,
                                     const sensing::CoverageTensors& tensors) {
   const std::size_t n = chain.p.size();
-  if (tensors.num_pois() != n)
-    throw std::invalid_argument("coverage_shares: size mismatch");
-  double total = 0.0;
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k = 0; k < n; ++k)
-      total += chain.pi[j] * chain.p(j, k) * tensors.durations()(j, k);
+  const sensing::CoverageSums sums = sensing::coverage_sums(
+      tensors.entries(), tensors.durations(), chain.pi, chain.p.matrix());
   std::vector<double> shares(n, 0.0);
-  if (tensors.sparse()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double c = 0.0;
-      for (const sensing::CoverageEntry& e : tensors.coverage_entries(i))
-        c += chain.pi[e.j] * chain.p(e.j, e.k) * e.value;
-      shares[i] = c / total;
-    }
-    return shares;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const linalg::Matrix& cov = tensors.coverage_of(i);
-    double c = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        c += chain.pi[j] * chain.p(j, k) * cov(j, k);
-    shares[i] = c / total;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    shares[i] = sums.covered[i] / sums.expected;
   return shares;
 }
 
@@ -44,32 +25,15 @@ Metrics compute_metrics(const markov::ChainAnalysis& chain,
   if (targets.size() != n)
     throw std::invalid_argument("compute_metrics: target size mismatch");
   Metrics m;
-  m.c_share = coverage_shares(chain, tensors);
-
-  if (tensors.sparse()) {
-    // g_i = Σ π_j p_jk (T_jk,i − Φ_i T_jk) = covered_i − Φ_i Ē, with the
-    // coverage sum over the stored entries and Ē over the dense durations —
-    // the same split the sparse CoverageDeviationTerm uses.
-    double expected = 0.0;
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        expected += chain.pi[j] * chain.p(j, k) * tensors.durations()(j, k);
-    for (std::size_t i = 0; i < n; ++i) {
-      double covered = 0.0;
-      for (const sensing::CoverageEntry& e : tensors.coverage_entries(i))
-        covered += chain.pi[e.j] * chain.p(e.j, e.k) * e.value;
-      const double g = covered - targets[i] * expected;
-      m.delta_c += g * g;
-    }
-  } else {
-    const auto kernels = tensors.deviation_kernels(targets);
-    for (std::size_t i = 0; i < n; ++i) {
-      double g = 0.0;
-      for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t k = 0; k < n; ++k)
-          g += chain.pi[j] * chain.p(j, k) * kernels[i](j, k);
-      m.delta_c += g * g;
-    }
+  // g_i = Σ π_j p_jk (T_jk,i − Φ_i T_jk) = covered_i − Φ_i Ē, the split
+  // CoverageDeviationTerm uses; C̄_i = covered_i / Ē.
+  const sensing::CoverageSums sums = sensing::coverage_sums(
+      tensors.entries(), tensors.durations(), chain.pi, chain.p.matrix());
+  m.c_share.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.c_share[i] = sums.covered[i] / sums.expected;
+    const double g = sums.covered[i] - targets[i] * sums.expected;
+    m.delta_c += g * g;
   }
 
   linalg::Vector e = ExposureTerm::compute_mean_exposures(chain);

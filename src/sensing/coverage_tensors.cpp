@@ -7,6 +7,19 @@
 
 namespace mocos::sensing {
 
+namespace {
+// Appends T_jk,i to PoI i's list when it is nonzero. Exact on purpose:
+// absent coverage is an exact 0 by the model conventions; thresholding
+// would drop real (small) coverage.
+void append_coverage(const MotionModel& model, std::size_t j, std::size_t k,
+                     std::size_t i,
+                     std::vector<std::vector<CoverageEntry>>& entries) {
+  const double v = model.coverage_during(j, k, i);
+  // mocos-lint: allow(float-eq)
+  if (v != 0.0) entries[i].push_back({j, k, v});
+}
+}  // namespace
+
 void CoverageTensors::build_dense_matrices(const MotionModel& model) {
   const std::size_t n = model.num_pois();
   durations_ = linalg::Matrix(n, n);
@@ -19,24 +32,22 @@ void CoverageTensors::build_dense_matrices(const MotionModel& model) {
   }
 }
 
-CoverageTensors::CoverageTensors(const MotionModel& model) {
+CoverageTensors::CoverageTensors(const MotionModel& model)
+    : entries_(model.num_pois()) {
   const std::size_t n = model.num_pois();
   build_dense_matrices(model);
-  coverage_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    linalg::Matrix cov(n, n);
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        cov(j, k) = model.coverage_during(j, k, i);
-    coverage_.push_back(std::move(cov));
-  }
+  // Ascending j, then k, appends each PoI's entries already sorted.
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        append_coverage(model, j, k, i, entries_);
 }
 
 CoverageTensors::CoverageTensors(
     const MotionModel& model,
     const std::vector<std::vector<std::size_t>>& support,
     double coverage_reach)
-    : sparse_(true), support_(support) {
+    : entries_(model.num_pois()), support_(support) {
   const std::size_t n = model.num_pois();
   if (support_.size() != n)
     throw std::invalid_argument("CoverageTensors: support size mismatch");
@@ -44,7 +55,6 @@ CoverageTensors::CoverageTensors(
     throw std::invalid_argument(
         "CoverageTensors: non-positive coverage reach");
   build_dense_matrices(model);
-  entries_.resize(n);
 
   // A PoI covered during j -> k sits within `coverage_reach` of some route
   // point, hence within route_length + reach of j. One neighbour sweep at
@@ -63,13 +73,8 @@ CoverageTensors::CoverageTensors(
       if (k >= n)
         throw std::invalid_argument(
             "CoverageTensors: support index out of range");
-      for (std::size_t i : candidates[j]) {
-        const double v = model.coverage_during(j, k, i);
-        // Exact on purpose: absent coverage is an exact 0 by the model
-        // conventions; thresholding would drop real (small) coverage.
-        // mocos-lint: allow(float-eq)
-        if (v != 0.0) entries_[i].push_back({j, k, v});
-      }
+      for (std::size_t i : candidates[j])
+        append_coverage(model, j, k, i, entries_);
     }
   }
   // Ascending (j, k) per PoI: the support lists are sorted but the outer
@@ -82,45 +87,32 @@ CoverageTensors::CoverageTensors(
   }
 }
 
-const linalg::Matrix& CoverageTensors::coverage_of(std::size_t i) const {
-  if (sparse_)
-    throw std::logic_error(
-        "CoverageTensors::coverage_of: dense per-PoI matrices are not "
-        "materialized in sparse mode; use coverage_entries()");
-  if (i >= coverage_.size())
-    throw std::out_of_range("CoverageTensors::coverage_of");
-  return coverage_[i];
-}
-
-const std::vector<CoverageEntry>& CoverageTensors::coverage_entries(
-    std::size_t i) const {
-  if (!sparse_)
-    throw std::logic_error(
-        "CoverageTensors::coverage_entries: only available in sparse mode");
-  if (i >= entries_.size())
-    throw std::out_of_range("CoverageTensors::coverage_entries");
-  return entries_[i];
-}
-
-std::vector<linalg::Matrix> CoverageTensors::deviation_kernels(
-    const std::vector<double>& targets) const {
-  if (sparse_)
-    throw std::logic_error(
-        "CoverageTensors::deviation_kernels: O(M^3) kernels are not "
-        "available in sparse mode");
-  const std::size_t n = num_pois();
-  if (targets.size() != n)
-    throw std::invalid_argument("deviation_kernels: target size mismatch");
-  std::vector<linalg::Matrix> kernels;
-  kernels.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    linalg::Matrix b(n, n);
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        b(j, k) = coverage_[i](j, k) - targets[i] * durations_(j, k);
-    kernels.push_back(std::move(b));
+CoverageSums coverage_sums(
+    const std::vector<std::vector<CoverageEntry>>& entries,
+    const linalg::Matrix& durations, const linalg::Vector& pi,
+    const linalg::Matrix& p) {
+  const std::size_t n = durations.rows();
+  if (entries.size() != n || pi.size() != n || p.rows() != n)
+    throw std::invalid_argument("coverage_sums: size mismatch");
+  CoverageSums sums;
+  // Exact zero transitions (the structural zeros of a support-restricted
+  // chain) contribute nothing to Ē, so skipping them is lossless.
+  for (std::size_t j = 0; j < n; ++j) {
+    const double pj = pi[j];
+    for (std::size_t k = 0; k < n; ++k) {
+      const double pjk = p(j, k);
+      // mocos-lint: allow(float-eq)
+      if (pjk != 0.0) sums.expected += pj * pjk * durations(j, k);
+    }
   }
-  return kernels;
+  sums.covered.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double covered = 0.0;
+    for (const CoverageEntry& e : entries[i])
+      covered += pi[e.j] * p(e.j, e.k) * e.value;
+    sums.covered[i] = covered;
+  }
+  return sums;
 }
 
 }  // namespace mocos::sensing

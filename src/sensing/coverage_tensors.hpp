@@ -8,8 +8,8 @@
 
 namespace mocos::sensing {
 
-/// One stored coverage value T_jk,i of a sparse coverage tensor: PoI i is
-/// covered for `value` time units during the transition j -> k.
+/// One stored coverage value T_jk,i: PoI i is covered for `value` time units
+/// during the transition j -> k.
 struct CoverageEntry {
   std::size_t j = 0;
   std::size_t k = 0;
@@ -18,29 +18,25 @@ struct CoverageEntry {
 
 /// Precomputed physical-time tensors of §III-A, built once per problem:
 ///
-///   durations(j,k)   = T_jk    (travel j->k + pause at k; T_jj = P_j)
-///   coverage[i](j,k) = T_jk,i  (time PoI i is covered during j->k)
+///   durations(j,k)      = T_jk    (travel j->k + pause at k; T_jj = P_j)
+///   coverage_entries(i) = T_jk,i  (time PoI i is covered during j->k)
 ///
-/// Two storage modes:
-///  - dense (the original): one n×n coverage matrix per PoI — O(M³) memory,
-///    exact for every transition. The cost function and its gradient touch
-///    these in O(M²) inner loops, so they are materialized rather than
-///    recomputed from geometry on every optimizer iteration.
-///  - sparse (city-scale): coverage restricted to a support adjacency (the
-///    transitions a support-restricted chain can actually take), stored as
-///    per-PoI entry lists — O(support · coverage) memory, which is what
-///    makes M = 1024+ problems buildable at all. Durations and distances
-///    stay dense (O(M²)).
+/// A PoI is covered only on the few routes that pass it, so T_jk,i is stored
+/// as per-PoI (j, k, value) entry lists holding its nonzeros. An unrestricted
+/// problem lists them over all M² transitions; a support-restricted one only
+/// over its support (the transitions its chain may take), which is what
+/// makes M = 1024+ problems buildable at all. Durations and distances stay
+/// dense (O(M²)).
 class CoverageTensors {
  public:
+  /// Entries over every transition.
   explicit CoverageTensors(const MotionModel& model);
 
-  /// Sparse mode. `support[j]` lists the destinations k reachable from j
-  /// (self included); coverage entries are computed only for those
-  /// transitions. `coverage_reach` must upper-bound the distance from any
-  /// point of a route at which a PoI can still be collecting coverage (the
-  /// sensing radius for disc sensing) — it prunes the candidate PoIs per
-  /// transition without dropping any true entry.
+  /// Entries over a support. `support[j]` lists the destinations k
+  /// reachable from j (self included). `coverage_reach` must upper-bound the
+  /// distance from any point of a route at which a PoI can still be
+  /// collecting coverage (the sensing radius for disc sensing) — it prunes
+  /// the candidate PoIs per transition without dropping any true entry.
   CoverageTensors(const MotionModel& model,
                   const std::vector<std::vector<std::size_t>>& support,
                   double coverage_reach);
@@ -48,28 +44,21 @@ class CoverageTensors {
   std::size_t num_pois() const { return durations_.rows(); }
   const linalg::Matrix& durations() const { return durations_; }
 
-  /// True when coverage is stored as sparse entry lists.
-  bool sparse() const { return sparse_; }
+  /// Coverage entries of PoI i, sorted by (j, k); std::out_of_range past M.
+  const std::vector<CoverageEntry>& coverage_entries(std::size_t i) const {
+    return entries_.at(i);
+  }
 
-  /// Dense per-PoI coverage matrix; requires !sparse() (throws
-  /// std::logic_error otherwise — city-scale problems must use the entry
-  /// lists, materializing O(M³) matrices is exactly what sparse mode avoids).
-  const linalg::Matrix& coverage_of(std::size_t i) const;
+  /// Every PoI's entry list: entries()[i] == coverage_entries(i).
+  const std::vector<std::vector<CoverageEntry>>& entries() const {
+    return entries_;
+  }
 
-  /// Sparse coverage entries of PoI i, sorted by (j, k); requires sparse().
-  const std::vector<CoverageEntry>& coverage_entries(std::size_t i) const;
-
-  /// The support adjacency the sparse tensors were built over (empty in
-  /// dense mode).
+  /// The support adjacency the tensors were built over; empty when every
+  /// transition is allowed.
   const std::vector<std::vector<std::size_t>>& support() const {
     return support_;
   }
-
-  /// B^i_jk = T_jk,i - Φ_i T_jk — the coverage-deviation kernel of Eq. 4/12,
-  /// precomputed per PoI for the given target allocation. Dense mode only
-  /// (sparse consumers combine coverage_entries with durations() instead).
-  std::vector<linalg::Matrix> deviation_kernels(
-      const std::vector<double>& targets) const;
 
   /// Travel distances d_jk for the energy objective.
   const linalg::Matrix& distances() const { return distances_; }
@@ -78,11 +67,30 @@ class CoverageTensors {
   void build_dense_matrices(const MotionModel& model);
 
   linalg::Matrix durations_;
-  std::vector<linalg::Matrix> coverage_;  // dense mode
   linalg::Matrix distances_;
-  bool sparse_ = false;
-  std::vector<std::vector<CoverageEntry>> entries_;      // sparse mode
-  std::vector<std::vector<std::size_t>> support_;        // sparse mode
+  std::vector<std::vector<CoverageEntry>> entries_;
+  std::vector<std::vector<std::size_t>> support_;
 };
+
+/// The two chain-weighted sums every coverage objective reads (Eqs. 2, 4,
+/// 12):
+///
+///   covered[i] = Σ_{j,k} π_j p_jk T_jk,i   (over PoI i's entries)
+///   expected   = Σ_{j,k} π_j p_jk T_jk     (Ē, over the dense durations)
+///
+/// The coverage share is C̄_i = covered[i] / expected and the coverage
+/// deviation is g_i = covered[i] − Φ_i · expected.
+struct CoverageSums {
+  std::vector<double> covered;
+  double expected = 0.0;
+};
+
+/// CoverageSums of the chain (π, P) over `entries` and `durations` (the
+/// lists and matrix of a CoverageTensors, or a cost term's copies of them).
+/// Throws std::invalid_argument unless all four have the same size M.
+CoverageSums coverage_sums(
+    const std::vector<std::vector<CoverageEntry>>& entries,
+    const linalg::Matrix& durations, const linalg::Vector& pi,
+    const linalg::Matrix& p);
 
 }  // namespace mocos::sensing

@@ -186,6 +186,23 @@ TEST(RunCli, ReducibleLoadedScheduleIsNumericalFailure) {
 }
 
 
+TEST(RunCli, MultiStartOnSupportRestrictedProblemIsBadConfig) {
+  // Multi-start draws dense random starts; on a support-restricted problem
+  // they would return transitions that no coverage entry prices, so the run
+  // is refused instead.
+  const std::string path = write_temp("cli_multistart_support.conf",
+                                      "topology = city:36:3\n"
+                                      "support_radius = 1.6\n"
+                                      "algorithm = perturbed\n"
+                                      "starts = 2\n"
+                                      "iterations = 5\n");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({path}, out, err), kExitBadConfig);
+  EXPECT_NE(err.str().find("starts"), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("support_radius"), std::string::npos) << err.str();
+  std::remove(path.c_str());
+}
+
 TEST(RunCli, SpectralReportOptIn) {
   const std::string path = write_temp("cli_spectral.conf",
                                       "topology = grid:2x2\n"

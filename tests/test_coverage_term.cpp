@@ -5,6 +5,7 @@
 
 #include "src/cost/metrics.hpp"
 #include "src/geometry/paper_topologies.hpp"
+#include "tests/coverage_reference.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos::cost {
@@ -56,13 +57,14 @@ TEST(CoverageTerm, DiscrepanciesMatchDefinition) {
   CoverageDeviationTerm term(tensors, targets, 1.0);
   const auto p = markov::TransitionMatrix::uniform(4);
   const auto chain = test::unwrap(markov::try_analyze_chain(p));
-  const auto kernels = tensors.deviation_kernels(targets);
+  const test::DenseCoverage dense(model);
   const auto g = term.discrepancies(chain);
   for (std::size_t i = 0; i < 4; ++i) {
     double expect = 0.0;
+    const linalg::Matrix b = dense.kernel(i, targets[i]);
     for (std::size_t j = 0; j < 4; ++j)
       for (std::size_t k = 0; k < 4; ++k)
-        expect += chain.pi[j] * chain.p(j, k) * kernels[i](j, k);
+        expect += chain.pi[j] * chain.p(j, k) * b(j, k);
     EXPECT_NEAR(g[i], expect, 1e-14);
   }
 }
@@ -103,6 +105,8 @@ TEST(CoverageTerm, RejectsBadWeights) {
   EXPECT_THROW(
       CoverageDeviationTerm(tensors, model.topology().targets(), -1.0),
       std::invalid_argument);
+  EXPECT_THROW(CoverageDeviationTerm(tensors, {0.5, 0.5}, 1.0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -289,13 +289,19 @@ TEST(Metamorphic, TimeRescalingScalesDurationsAndMetricsExactly) {
   // Every duration and per-PoI coverage time scales by exactly s.
   const std::size_t n = base.num_pois();
   for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t k = 0; k < n; ++k)
       EXPECT_NEAR(scaled.tensors().durations()(j, k),
                   s * base.tensors().durations()(j, k), 1e-12);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(scaled.tensors().coverage_of(i)(j, k),
-                    s * base.tensors().coverage_of(i)(j, k), 1e-12);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& base_entries = base.tensors().coverage_entries(i);
+    const auto& scaled_entries = scaled.tensors().coverage_entries(i);
+    ASSERT_EQ(scaled_entries.size(), base_entries.size());
+    for (std::size_t e = 0; e < base_entries.size(); ++e) {
+      EXPECT_EQ(scaled_entries[e].j, base_entries[e].j);
+      EXPECT_EQ(scaled_entries[e].k, base_entries[e].k);
+      EXPECT_NEAR(scaled_entries[e].value, s * base_entries[e].value, 1e-12);
     }
+  }
 
   util::Rng rng(99);
   for (std::size_t trial = 0; trial < 5; ++trial) {

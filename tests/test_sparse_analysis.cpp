@@ -269,7 +269,6 @@ TEST(SparseDescent, SupportRestrictedProblemKeepsZerosEndToEnd) {
   physics.support_radius = 2.0;
   core::Weights w;
   const core::Problem problem(geometry::city_topology(cfg), physics, w);
-  ASSERT_TRUE(problem.tensors().sparse());
   ASSERT_EQ(problem.support().size(), 49u);
 
   core::OptimizerOptions opts;

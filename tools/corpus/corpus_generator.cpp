@@ -142,8 +142,8 @@ std::string build_config(const FamilySpec& f, const SkewSpec& skew,
   if (skew.name != std::string("uniform"))
     out << targets_line(skew.name, f.size) << "\n";
   // City maps past the paper scale also exercise the support-restricted
-  // (sparse-tensor) composition — except under the `full` mix, whose
-  // information-free kitchen sink is kept on the dense reference path.
+  // composition — except under the `full` mix, whose kitchen sink runs on
+  // the unrestricted chain.
   // City jitter (up to 0.35 per axis) can put PoIs 0.3 apart; the sensing
   // discs must stay disjoint, so city maps run with a smaller radius.
   if (f.family == std::string("city")) out << "radius = 0.1\n";
