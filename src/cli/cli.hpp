@@ -23,7 +23,7 @@ namespace mocos::cli {
 ///   support_radius = <double>  (when > 0: restrict transitions to PoI pairs
 ///               within this travel distance; the coverage entries are then
 ///               listed over that support only. Not supported with
-///               starts > 1)
+///               starts > 1; a load_schedule outside the support is refused)
 ///   alpha, beta, epsilon                           (objective weights)
 ///   energy_gamma, energy_target, entropy_weight    (§VII extensions)
 ///   event_rates = l1,l2,...   (per-PoI Poisson event rates λ_i; enables the
@@ -80,8 +80,9 @@ struct RunHooks {
   /// StopReason::kCancelled (request deadline / drain).
   std::function<bool()> should_stop;
   /// Start matrix override (the previous solution of a same-topology
-  /// session); ignored when its size does not match the problem or the
-  /// config asks for multi-start / a loaded schedule.
+  /// session); ignored when its size does not match the problem, when it
+  /// leaves the problem's support, or when the config asks for multi-start /
+  /// a loaded schedule.
   const markov::TransitionMatrix* warm_start = nullptr;
   /// Out-field: set to true iff `warm_start` was actually used as the start
   /// matrix (the decline paths above leave it untouched), so callers can

@@ -59,7 +59,8 @@ class CoverageOptimizer {
   [[nodiscard]] OptimizationOutcome run(
       const runtime::ExecutionContext& ctx = {}) const;
 
-  /// Runs from an explicit start matrix (single start).
+  /// Runs from an explicit start matrix (single start);
+  /// std::invalid_argument when it leaves the problem's support.
   [[nodiscard]] OptimizationOutcome run(
       const markov::TransitionMatrix& start) const;
 

@@ -1,8 +1,7 @@
 #include "src/core/serialization.hpp"
 
+#include <charconv>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,14 +14,22 @@ constexpr const char* kHeader = "mocos-schedule v1";
 }
 
 std::string serialize_schedule(const markov::TransitionMatrix& p) {
-  std::ostringstream out;
-  out << kHeader << '\n' << "pois " << p.size() << '\n';
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    for (std::size_t j = 0; j < p.size(); ++j)
-      out << p(i, j) << (j + 1 < p.size() ? " " : "\n");
+  const std::size_t n = p.size();
+  std::string out =
+      std::string(kHeader) + "\npois " + std::to_string(n) + '\n';
+  // %.17g (max_digits10 significant digits) per entry, which is what the
+  // stream form `setprecision(17) << x` prints, without a stream per value.
+  char buf[32];
+  for (std::size_t i = 0; i < n; ++i) {
+    const linalg::Vector row = p.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::to_chars_result r = std::to_chars(
+          buf, buf + sizeof buf, row[j], std::chars_format::general, 17);
+      out.append(buf, r.ptr);
+      out += j + 1 < n ? ' ' : '\n';
+    }
   }
-  return out.str();
+  return out;
 }
 
 markov::TransitionMatrix deserialize_schedule(const std::string& text) {

@@ -2,19 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "tests/temporary_file.hpp"
 
 namespace mocos::cli {
 namespace {
 
-std::string write_temp(const std::string& name, const std::string& body) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::ofstream out(path);
-  out << body;
-  return path;
-}
 
 TEST(BuildProblem, GridTopologyWithDefaults) {
   const auto cfg = util::Config::parse_string("topology = grid:2x2\n");
@@ -118,50 +112,46 @@ TEST(RunCli, MissingFileIsBadConfig) {
 }
 
 TEST(RunCli, MalformedConfigLineIsBadConfigWithLocation) {
-  const std::string path = write_temp("cli_malformed.conf",
-                                      "topology = grid:2x2\n"
-                                      "this line has no equals sign\n");
+  const test::TemporaryFile conf("cli_malformed.conf",
+                                 "topology = grid:2x2\n"
+                                 "this line has no equals sign\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), kExitBadConfig);
+  EXPECT_EQ(run_cli({conf.path()}, out, err), kExitBadConfig);
   EXPECT_NE(err.str().find(":2:"), std::string::npos) << err.str();
-  std::remove(path.c_str());
 }
 
 TEST(RunCli, EndToEndOptimizationAndSimulation) {
-  const std::string path = write_temp("cli_e2e.conf",
-                                      "topology = grid:2x2\n"
-                                      "targets = 0.4,0.2,0.2,0.2\n"
-                                      "alpha = 1\nbeta = 0.001\n"
-                                      "iterations = 150\nseed = 3\n"
-                                      "simulate = 5000\n");
+  const test::TemporaryFile conf("cli_e2e.conf",
+                                 "topology = grid:2x2\n"
+                                 "targets = 0.4,0.2,0.2,0.2\n"
+                                 "alpha = 1\nbeta = 0.001\n"
+                                 "iterations = 150\nseed = 3\n"
+                                 "simulate = 5000\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), 0) << err.str();
+  EXPECT_EQ(run_cli({conf.path()}, out, err), 0) << err.str();
   const std::string text = out.str();
   EXPECT_NE(text.find("transition matrix"), std::string::npos);
   EXPECT_NE(text.find("validation simulation"), std::string::npos);
   EXPECT_NE(text.find("delta_C"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(RunCli, BasicAlgorithmSelectable) {
-  const std::string path = write_temp("cli_basic.conf",
-                                      "topology = grid:2x2\n"
-                                      "algorithm = basic\n"
-                                      "iterations = 50\nstep = 1e-4\n");
+  const test::TemporaryFile conf("cli_basic.conf",
+                                 "topology = grid:2x2\n"
+                                 "algorithm = basic\n"
+                                 "iterations = 50\nstep = 1e-4\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), 0) << err.str();
+  EXPECT_EQ(run_cli({conf.path()}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("algorithm: basic"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(RunCli, BadAlgorithmReported) {
-  const std::string path = write_temp("cli_bad.conf",
-                                      "topology = grid:2x2\n"
-                                      "algorithm = magic\n");
+  const test::TemporaryFile conf("cli_bad.conf",
+                                 "topology = grid:2x2\n"
+                                 "algorithm = magic\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), kExitBadConfig);
+  EXPECT_EQ(run_cli({conf.path()}, out, err), kExitBadConfig);
   EXPECT_NE(err.str().find("algorithm"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(RunCli, ReducibleLoadedScheduleIsNumericalFailure) {
@@ -169,20 +159,16 @@ TEST(RunCli, ReducibleLoadedScheduleIsNumericalFailure) {
   // reducible chain: every PoI is absorbing, so the stationary analysis
   // fails. The audit path must report a structured numerical failure (exit
   // 3), not crash or emit NaN metrics.
-  const std::string sched = testing::TempDir() + "/cli_reducible_schedule.txt";
-  {
-    std::ofstream f(sched);
-    f << "mocos-schedule v1\npois 4\n"
-         "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n";
-  }
-  const std::string conf = write_temp("cli_reducible.conf",
-                                      "topology = grid:2x2\n"
-                                      "load_schedule = " + sched + "\n");
+  const test::TemporaryFile sched("cli_reducible_schedule.txt",
+                                  "mocos-schedule v1\npois 4\n"
+                                  "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n");
+  const test::TemporaryFile conf("cli_reducible.conf",
+                                 "topology = grid:2x2\n"
+                                 "load_schedule = " + sched.path() + "\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({conf}, out, err), kExitNumericalFailure) << err.str();
+  EXPECT_EQ(run_cli({conf.path()}, out, err), kExitNumericalFailure)
+      << err.str();
   EXPECT_NE(err.str().find("error"), std::string::npos);
-  std::remove(sched.c_str());
-  std::remove(conf.c_str());
 }
 
 
@@ -190,106 +176,94 @@ TEST(RunCli, MultiStartOnSupportRestrictedProblemIsBadConfig) {
   // Multi-start draws dense random starts; on a support-restricted problem
   // they would return transitions that no coverage entry prices, so the run
   // is refused instead.
-  const std::string path = write_temp("cli_multistart_support.conf",
-                                      "topology = city:36:3\n"
-                                      "support_radius = 1.6\n"
-                                      "algorithm = perturbed\n"
-                                      "starts = 2\n"
-                                      "iterations = 5\n");
+  const test::TemporaryFile conf("cli_multistart_support.conf",
+                                 "topology = city:36:3\n"
+                                 "support_radius = 1.6\n"
+                                 "algorithm = perturbed\n"
+                                 "starts = 2\n"
+                                 "iterations = 5\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), kExitBadConfig);
+  EXPECT_EQ(run_cli({conf.path()}, out, err), kExitBadConfig);
   EXPECT_NE(err.str().find("starts"), std::string::npos) << err.str();
   EXPECT_NE(err.str().find("support_radius"), std::string::npos) << err.str();
-  std::remove(path.c_str());
 }
 
 TEST(RunCli, SpectralReportOptIn) {
-  const std::string path = write_temp("cli_spectral.conf",
-                                      "topology = grid:2x2\n"
-                                      "iterations = 80\n"
-                                      "report_spectral = true\n");
+  const test::TemporaryFile conf("cli_spectral.conf",
+                                 "topology = grid:2x2\n"
+                                 "iterations = 80\n"
+                                 "report_spectral = true\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), 0) << err.str();
+  EXPECT_EQ(run_cli({conf.path()}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("SLEM"), std::string::npos);
   EXPECT_NE(out.str().find("Kemeny"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(RunCli, SimulationReportsTailExposure) {
-  const std::string path = write_temp("cli_tail.conf",
-                                      "topology = grid:2x2\n"
-                                      "iterations = 80\n"
-                                      "simulate = 3000\n");
+  const test::TemporaryFile conf("cli_tail.conf",
+                                 "topology = grid:2x2\n"
+                                 "iterations = 80\n"
+                                 "simulate = 3000\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), 0) << err.str();
+  EXPECT_EQ(run_cli({conf.path()}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("p95 exposure"), std::string::npos);
   EXPECT_NE(out.str().find("max exposure"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 
 TEST(RunCli, SaveThenLoadSchedule) {
-  const std::string sched = testing::TempDir() + "/cli_saved_schedule.txt";
-  const std::string save_conf = write_temp("cli_save.conf",
-                                           "topology = grid:2x2\n"
-                                           "iterations = 100\nseed = 5\n"
-                                           "save_schedule = " + sched + "\n");
+  const test::TemporaryFile sched("cli_saved_schedule.txt");
+  const test::TemporaryFile save_conf("cli_save.conf",
+                                      "topology = grid:2x2\n"
+                                      "iterations = 100\nseed = 5\n"
+                                      "save_schedule = " + sched.path() + "\n");
   std::ostringstream out1, err1;
-  ASSERT_EQ(run_cli({save_conf}, out1, err1), 0) << err1.str();
+  ASSERT_EQ(run_cli({save_conf.path()}, out1, err1), 0) << err1.str();
   EXPECT_NE(out1.str().find("schedule saved"), std::string::npos);
 
-  const std::string load_conf = write_temp("cli_load.conf",
-                                           "topology = grid:2x2\n"
-                                           "load_schedule = " + sched + "\n");
+  const test::TemporaryFile load_conf("cli_load.conf",
+                                      "topology = grid:2x2\n"
+                                      "load_schedule = " + sched.path() + "\n");
   std::ostringstream out2, err2;
-  ASSERT_EQ(run_cli({load_conf}, out2, err2), 0) << err2.str();
+  ASSERT_EQ(run_cli({load_conf.path()}, out2, err2), 0) << err2.str();
   EXPECT_NE(out2.str().find("evaluating saved schedule"), std::string::npos);
   EXPECT_NE(out2.str().find("delta_C"), std::string::npos);
-  std::remove(sched.c_str());
-  std::remove(save_conf.c_str());
-  std::remove(load_conf.c_str());
 }
 
 TEST(RunCli, MissingScheduleFileIsBadConfig) {
   // An unreadable schedule named by load_schedule is a configuration
   // problem, same exit code as an unreadable config file.
-  const std::string conf = write_temp("cli_missing_sched.conf",
-                                      "topology = grid:2x2\n"
-                                      "load_schedule = /nonexistent/s.txt\n");
+  const test::TemporaryFile conf("cli_missing_sched.conf",
+                                 "topology = grid:2x2\n"
+                                 "load_schedule = /nonexistent/s.txt\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({conf}, out, err), kExitBadConfig);
+  EXPECT_EQ(run_cli({conf.path()}, out, err), kExitBadConfig);
   EXPECT_NE(err.str().find("/nonexistent/s.txt"), std::string::npos);
-  std::remove(conf.c_str());
 }
 
 TEST(RunCli, LoadedScheduleMustMatchTopology) {
-  const std::string sched = testing::TempDir() + "/cli_mismatch_schedule.txt";
-  {
-    std::ofstream f(sched);
-    f << "mocos-schedule v1\npois 2\n0.5 0.5\n0.5 0.5\n";
-  }
-  const std::string conf = write_temp("cli_mismatch.conf",
-                                      "topology = grid:2x2\n"
-                                      "load_schedule = " + sched + "\n");
+  const test::TemporaryFile sched("cli_mismatch_schedule.txt",
+                                  "mocos-schedule v1\npois 2\n0.5 0.5\n"
+                                  "0.5 0.5\n");
+  const test::TemporaryFile conf("cli_mismatch.conf",
+                                 "topology = grid:2x2\n"
+                                 "load_schedule = " + sched.path() + "\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({conf}, out, err), kExitBadConfig);
+  EXPECT_EQ(run_cli({conf.path()}, out, err), kExitBadConfig);
   EXPECT_NE(err.str().find("does not match"), std::string::npos);
-  std::remove(sched.c_str());
-  std::remove(conf.c_str());
 }
 
 
 TEST(RunCli, FrontierMode) {
-  const std::string path = write_temp("cli_frontier.conf",
-                                      "topology = grid:2x2\n"
-                                      "mode = frontier\n"
-                                      "frontier_points = 2\n"
-                                      "iterations = 100\n");
+  const test::TemporaryFile conf("cli_frontier.conf",
+                                 "topology = grid:2x2\n"
+                                 "mode = frontier\n"
+                                 "frontier_points = 2\n"
+                                 "iterations = 100\n");
   std::ostringstream out, err;
-  EXPECT_EQ(run_cli({path}, out, err), 0) << err.str();
+  EXPECT_EQ(run_cli({conf.path()}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("trade-off frontier"), std::string::npos);
   EXPECT_NE(out.str().find("E-bar"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

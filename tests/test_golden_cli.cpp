@@ -23,6 +23,7 @@
 
 #include "gtest/gtest.h"
 #include "src/cli/cli.hpp"
+#include "tests/temporary_file.hpp"
 
 namespace mocos::cli {
 namespace {
@@ -153,14 +154,14 @@ TEST(GoldenCli, SingleRunReport) {
 }
 
 TEST(GoldenCli, BatchSummaryJson) {
-  const std::string summary_path = testing::TempDir() + "/golden_summary.json";
+  const test::TemporaryFile summary_file("golden_summary.json");
   std::ostringstream out, err;
   const int code = run_cli({"--batch", std::string(golden_dir()) + "/batch",
-                            "--summary", summary_path},
+                            "--summary", summary_file.path()},
                            out, err);
   // b_bad_algorithm.conf fails by design: the batch completes partially.
   EXPECT_EQ(code, kExitBatchPartialFailure);
-  const std::string summary = read_file(summary_path);
+  const std::string summary = read_file(summary_file.path());
   // The --summary file and stdout carry the identical JSON document.
   EXPECT_EQ(summary, out.str());
   EXPECT_TRUE(matches_golden(normalize(summary), "batch_summary.golden"));
@@ -174,45 +175,47 @@ TEST(GoldenCli, ObservabilityFlagsDoNotPerturbSingleRunReport) {
   ASSERT_EQ(run_cli({conf}, plain_out, plain_err), kExitSuccess)
       << plain_err.str();
 
-  const std::string metrics_path = testing::TempDir() + "/obs_single.json";
-  const std::string trace_path = testing::TempDir() + "/obs_single.ndjson";
+  const test::TemporaryFile metrics_file("obs_single.json");
+  const test::TemporaryFile trace_file("obs_single.ndjson");
   std::ostringstream obs_out, obs_err;
-  ASSERT_EQ(run_cli({conf, "--metrics", metrics_path, "--trace", trace_path},
+  ASSERT_EQ(run_cli({conf, "--metrics", metrics_file.path(), "--trace",
+                     trace_file.path()},
                     obs_out, obs_err),
             kExitSuccess)
       << obs_err.str();
 
   EXPECT_EQ(plain_out.str(), obs_out.str());
   // Both sinks actually collected something.
-  const std::string metrics = read_file(metrics_path);
+  const std::string metrics = read_file(metrics_file.path());
   EXPECT_NE(metrics.find("\"descent.iterations\""), std::string::npos);
-  const std::string trace = read_file(trace_path);
+  const std::string trace = read_file(trace_file.path());
   EXPECT_NE(trace.find("\"ph\":\"B\",\"name\":\"cli.run\""),
             std::string::npos);
 }
 
 TEST(GoldenCli, ObservabilityFlagsDoNotPerturbBatchSummary) {
   const std::string batch_dir = std::string(golden_dir()) + "/batch";
-  const std::string plain_summary = testing::TempDir() + "/obs_plain.json";
+  const test::TemporaryFile plain_summary("obs_plain.json");
   std::ostringstream plain_out, plain_err;
-  ASSERT_EQ(run_cli({"--batch", batch_dir, "--summary", plain_summary},
+  ASSERT_EQ(run_cli({"--batch", batch_dir, "--summary", plain_summary.path()},
                     plain_out, plain_err),
             kExitBatchPartialFailure);
 
-  const std::string obs_summary = testing::TempDir() + "/obs_batch.json";
-  const std::string metrics_path = testing::TempDir() + "/obs_batch_m.json";
-  const std::string trace_path = testing::TempDir() + "/obs_batch.ndjson";
+  const test::TemporaryFile obs_summary("obs_batch.json");
+  const test::TemporaryFile metrics_file("obs_batch_m.json");
+  const test::TemporaryFile trace_file("obs_batch.ndjson");
   std::ostringstream obs_out, obs_err;
-  ASSERT_EQ(run_cli({"--batch", batch_dir, "--summary", obs_summary,
-                     "--metrics", metrics_path, "--trace", trace_path},
+  ASSERT_EQ(run_cli({"--batch", batch_dir, "--summary", obs_summary.path(),
+                     "--metrics", metrics_file.path(), "--trace",
+                     trace_file.path()},
                     obs_out, obs_err),
             kExitBatchPartialFailure);
 
   EXPECT_EQ(plain_out.str(), obs_out.str());
-  EXPECT_EQ(read_file(plain_summary), read_file(obs_summary));
-  const std::string metrics = read_file(metrics_path);
+  EXPECT_EQ(read_file(plain_summary.path()), read_file(obs_summary.path()));
+  const std::string metrics = read_file(metrics_file.path());
   EXPECT_NE(metrics.find("\"batch.scenarios\""), std::string::npos);
-  const std::string trace = read_file(trace_path);
+  const std::string trace = read_file(trace_file.path());
   EXPECT_NE(trace.find("\"name\":\"batch.scenario\""), std::string::npos);
 }
 

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -363,6 +364,41 @@ TEST(ServeLoop, WarmStartedFlagTracksActualApplication) {
   ASSERT_NE(second, std::string::npos);
   EXPECT_NE(output.find("\"warm_started\": false", second),
             std::string::npos);
+}
+
+TEST(ServeLoop, WarmStartOffTheSupportFallsBackToTheConfigStart) {
+  // The lane's last solution comes from an unrestricted run and puts mass on
+  // every transition. A support-restricted request under the same key must
+  // not start from it (no coverage entry prices those transitions) but from
+  // its own support-uniform start, exactly as a cold request does.
+  const std::string dense =
+      "topology = city:36:3\\nradius = 0.1\\nalgorithm = adaptive\\n"
+      "iterations = 3";
+  const std::string restricted = dense + "\\nsupport_radius = 1.6";
+  const std::string input =
+      request_line("d1", dense, ", \"cache_key\": \"s\"") + "\n" +
+      request_line("r1", restricted,
+                   ", \"cache_key\": \"s\", \"warm_start\": true") +
+      "\n" + request_line("r2", restricted, "") + "\n";
+  std::string output;
+  const serve::ServeReport report =
+      run_serve(input, output, test_options());
+  EXPECT_EQ(report.ok, 3u) << output;
+  std::istringstream lines(output);
+  std::string line;
+  std::optional<std::map<std::string, serve::JsonValue>> r1;
+  std::optional<std::map<std::string, serve::JsonValue>> r2;
+  while (std::getline(lines, line)) {
+    auto parsed = serve::parse_flat_object(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    const auto id = parsed->find("id");
+    if (id == parsed->end()) continue;
+    if (id->second.str == "r1") r1 = std::move(*parsed);
+    else if (id->second.str == "r2") r2 = std::move(*parsed);
+  }
+  ASSERT_TRUE(r1 && r2) << output;
+  EXPECT_FALSE(r1->at("warm_started").boolean);
+  EXPECT_EQ(r1->at("cost").num, r2->at("cost").num);
 }
 
 TEST(ServeLoop, DeadlineCutsRunWithBestSoFar) {
