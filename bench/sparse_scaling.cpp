@@ -24,7 +24,6 @@
 #include "src/markov/solve_policy.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/partition/block_solver.hpp"
-#include "src/partition/spatial_partition.hpp"
 
 namespace mocos::bench {
 namespace {
@@ -48,15 +47,15 @@ markov::TransitionMatrix city_chain(std::size_t m) {
   cfg.count = m;
   cfg.seed = 7;
   const geometry::Topology topo = geometry::city_topology(cfg);
-  return descent::support_uniform_start(
-      geometry::radius_neighbors(topo, 2.0 * cfg.spacing));
+  return descent::support_uniform_start(linalg::SparsityPattern::from_rows(
+      m, geometry::radius_neighbors(topo, 2.0 * cfg.spacing)));
 }
 
 SizePoint run_size(std::size_t m, bool run_dense) {
   SizePoint pt;
   pt.m = m;
   const markov::TransitionMatrix p = city_chain(m);
-  const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(p.matrix());
+  const linalg::SparseMatrix& sp = p.csr();
   pt.nnz = sp.nnz();
   pt.density = sp.density();
 
@@ -82,8 +81,7 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   pt.used_banded =
       partition::SparseResolvent::try_factor(sp, c).value().banded();
   pt.used_bicgstab = !pt.used_banded;
-  pt.bandwidth =
-      partition::pattern_bandwidth(sp, partition::bandwidth_ordering(sp));
+  pt.bandwidth = sp.pattern().band_ordering().bandwidth;
 
   if (!run_dense) return pt;
 

@@ -40,7 +40,7 @@ int main() {
 
   std::cout << "=== optimized schedule ===\n" << outcome.summary() << '\n';
   std::cout << "transition matrix:\n"
-            << outcome.p.matrix().to_string(3) << "\n\n";
+            << outcome.p.to_dense().to_string(3) << "\n\n";
 
   // 5. Drive a simulated sensor with the optimized matrix and compare the
   //    realized metrics against the analytic predictions.

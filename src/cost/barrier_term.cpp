@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace mocos::cost {
 
@@ -45,37 +46,32 @@ double BarrierTerm::entry_derivative(double p) const {
 }
 
 double BarrierTerm::value(const markov::ChainAnalysis& chain) const {
-  const std::size_t n = chain.p.size();
   double u = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double p = chain.p(i, j);
-      // Exact zeros are the structural zeros of a support-restricted chain:
-      // the descent holds them at zero (support-masked projection +
-      // zero-preserving steps), so they sit outside the barrier's domain
-      // rather than on its boundary. entry_value(0) itself stays +inf — the
-      // right answer for a *probed* zero on a dense chain.
-      // mocos-lint: allow(float-eq)
-      if (p == 0.0) continue;
-      u += entry_value(p);
-      if (std::isinf(u)) return u;
-    }
+  for (const double p : chain.p.csr().values()) {
+    // Exact zeros are structural: off the pattern they are not stored, and
+    // an explicit zero on it is held there by the zero-preserving steps, so
+    // they sit outside the barrier's domain rather than on its boundary.
+    // entry_value(0) itself stays +inf — the right answer for a *probed*
+    // zero on a dense chain.
+    // mocos-lint: allow(float-eq)
+    if (p == 0.0) continue;
+    u += entry_value(p);
+    if (std::isinf(u)) return u;
   }
   return u;
 }
 
 void BarrierTerm::accumulate_partials(const markov::ChainAnalysis& chain,
                                       Partials& out) const {
-  const std::size_t n = chain.p.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double p = chain.p(i, j);
-      // Structural zeros carry no barrier gradient (see value() above);
-      // entry_derivative would throw for them by design.
-      // mocos-lint: allow(float-eq)
-      if (p == 0.0) continue;
-      out.du_dp(i, j) += entry_derivative(p);
-    }
+  const std::vector<double>& values = chain.p.csr().values();
+  std::vector<double>& du_dp = out.dp_on(chain.p);
+  for (std::size_t e = 0; e < values.size(); ++e) {
+    const double p = values[e];
+    // Structural zeros carry no barrier gradient (see value() above);
+    // entry_derivative would throw for them by design.
+    // mocos-lint: allow(float-eq)
+    if (p == 0.0) continue;
+    du_dp[e] += entry_derivative(p);
   }
 }
 

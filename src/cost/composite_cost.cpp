@@ -49,7 +49,7 @@ double CompositeCost::value(const markov::TransitionMatrix& p) const {
 }
 
 Partials CompositeCost::partials(const markov::ChainAnalysis& chain) const {
-  Partials out(chain.p.size());
+  Partials out(chain.p);
   for (const auto& t : terms_) t->accumulate_partials(chain, out);
   return out;
 }

@@ -31,7 +31,7 @@ linalg::Vector CoverageDeviationTerm::discrepancies(
     const markov::ChainAnalysis& chain) const {
   const std::size_t n = chain.p.size();
   const sensing::CoverageSums sums =
-      sensing::coverage_sums(entries_, durations_, chain.pi, chain.p.matrix());
+      sensing::coverage_sums(entries_, durations_, chain.pi, chain.p.csr());
   linalg::Vector g(n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     g[i] = sums.covered[i] - targets_[i] * sums.expected;
@@ -63,8 +63,13 @@ void CoverageDeviationTerm::accumulate_partials(
 
 void add_coverage_sums_partials(
     const std::vector<std::vector<sensing::CoverageEntry>>& entries,
-    const linalg::Matrix& durations, const markov::ChainAnalysis& chain,
+    const linalg::SparseMatrix& durations, const markov::ChainAnalysis& chain,
     const std::vector<double>& w, double c, Partials& out) {
+  const linalg::SparseMatrix& p = chain.p.csr();
+  std::vector<double>& du_dp = out.dp_on(chain.p);
+  const std::vector<double>& pv = p.values();
+  // The descent's P sits on the tensors' own pattern: slots line up.
+  const bool same = p.pattern() == durations.pattern();
   // Exact on purpose (both checks): every partial is scaled by the weight,
   // so skipping an exact zero is lossless; skipping near-zeros would bias
   // the gradient.
@@ -72,19 +77,24 @@ void add_coverage_sums_partials(
     // mocos-lint: allow(float-eq)
     if (w[i] == 0.0) continue;
     for (const sensing::CoverageEntry& e : entries[i]) {
-      out.du_dp(e.j, e.k) += w[i] * chain.pi[e.j] * e.value;
-      out.du_dpi[e.j] += w[i] * chain.p(e.j, e.k) * e.value;
+      const std::size_t slot = same ? e.slot : p.pattern().find(e.j, e.k);
+      if (slot == linalg::SparsityPattern::npos) continue;  // p_jk ≡ 0
+      du_dp[slot] += w[i] * chain.pi[e.j] * e.value;
+      out.du_dpi[e.j] += w[i] * pv[slot] * e.value;
     }
   }
   // mocos-lint: allow(float-eq)
   if (c == 0.0) return;
-  const std::size_t n = durations.rows();
-  for (std::size_t j = 0; j < n; ++j) {
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  const std::vector<double>& tv = durations.values();
+  for (std::size_t j = 0; j < p.rows(); ++j) {
     double row_dot = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double t = durations(j, k);
-      row_dot += chain.p(j, k) * t;
-      out.du_dp(j, k) += c * chain.pi[j] * t;
+    for (std::size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
+      const double t =
+          tv[same ? e : sensing::tensor_slot(durations, j, cols[e])];
+      row_dot += pv[e] * t;
+      du_dp[e] += c * chain.pi[j] * t;
     }
     out.du_dpi[j] += c * row_dot;
   }

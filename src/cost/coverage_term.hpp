@@ -15,7 +15,7 @@ namespace mocos::cost {
 /// time runs above/below its target share of the total elapsed time. It
 /// splits into the coverage sum over PoI i's entries minus Φ_i · Ē with
 /// Ē = Σ π_j p_jk T_jk (sensing::coverage_sums) — exact for every P, with no
-/// O(M³) object anywhere.
+/// O(M³) object anywhere and O(nnz) work per evaluation.
 class CoverageDeviationTerm final : public CostTerm {
  public:
   /// `alphas` are the per-PoI weights α_i (all equal in the paper's §VI).
@@ -38,18 +38,18 @@ class CoverageDeviationTerm final : public CostTerm {
 
  private:
   std::vector<std::vector<sensing::CoverageEntry>> entries_;
-  linalg::Matrix durations_;
+  linalg::SparseMatrix durations_;
   std::vector<double> targets_;
   std::vector<double> alphas_;
 };
 
 /// Adds Σ_i w_i ∂N_i/∂(π, P) + c ∂Ē/∂(π, P) for the sensing::coverage_sums
-/// N_i (over PoI i's entries) and Ē (over the dense durations):
+/// N_i (over PoI i's entries) and Ē (over P's stored entries):
 ///   ∂N_i/∂π_j = Σ_k p_jk T_jk,i,   ∂N_i/∂p_jk = π_j T_jk,i,
-/// and the same for Ē with T_jk.
+/// and the same for Ē with T_jk. ∂U/∂P is only kept on P's pattern.
 void add_coverage_sums_partials(
     const std::vector<std::vector<sensing::CoverageEntry>>& entries,
-    const linalg::Matrix& durations, const markov::ChainAnalysis& chain,
+    const linalg::SparseMatrix& durations, const markov::ChainAnalysis& chain,
     const std::vector<double>& w, double c, Partials& out);
 
 }  // namespace mocos::cost

@@ -26,7 +26,7 @@ class EnergyTerm final : public CostTerm {
   double expected_distance(const markov::ChainAnalysis& chain) const;
 
  private:
-  linalg::Matrix distances_;
+  linalg::SparseMatrix distances_;  // d_jk on the problem's pattern
   double gamma_;
   double target_;
 };

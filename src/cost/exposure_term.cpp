@@ -13,7 +13,10 @@ namespace {
 constexpr double kMinStay = 1e-12;
 
 double hold_probability(const markov::ChainAnalysis& chain, std::size_t i) {
-  return std::max(1.0 - chain.p(i, i), kMinStay);
+  const std::size_t ii = chain.p.pattern().diagonal(i);
+  const double p_ii =
+      ii == linalg::SparsityPattern::npos ? 0.0 : chain.p.csr().values()[ii];
+  return std::max(1.0 - p_ii, kMinStay);
 }
 }  // namespace
 
@@ -60,6 +63,7 @@ void ExposureTerm::accumulate_weighted_exposure_partials(
     throw std::invalid_argument(
         "accumulate_weighted_exposure_partials: weight size mismatch");
   const linalg::Vector e = compute_mean_exposures(chain);
+  std::vector<double>& du_dp = out.dp_on(chain.p);
   // dU = Σ_i g_i dĒ_i with g_i = dcost_dexposure[i] and, writing
   // s_i = 1 - p_ii and Ē_i = (1 − π_i)/(π_i s_i):
   //   ∂Ē_i/∂π_i  = -1 / (π_i² s_i)
@@ -74,7 +78,9 @@ void ExposureTerm::accumulate_weighted_exposure_partials(
     const double s = hold_probability(chain, i);
     const double pi = chain.pi[i];
     out.du_dpi[i] += w * (-1.0 / (pi * pi * s));
-    out.du_dp(i, i) += w * (e[i] / s);
+    // A chain that cannot stay at i has no p_ii to follow.
+    const std::size_t ii = chain.p.pattern().diagonal(i);
+    if (ii != linalg::SparsityPattern::npos) du_dp[ii] += w * (e[i] / s);
   }
 }
 

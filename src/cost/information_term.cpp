@@ -38,7 +38,7 @@ double InformationCaptureTerm::capture_rate(
 double InformationCaptureTerm::capture_rate(
     const markov::ChainAnalysis& chain) const {
   return capture_rate(sensing::coverage_sums(entries_, durations_, chain.pi,
-                                             chain.p.matrix()));
+                                             chain.p.csr()));
 }
 
 double InformationCaptureTerm::value(
@@ -49,7 +49,7 @@ double InformationCaptureTerm::value(
 void InformationCaptureTerm::accumulate_partials(
     const markov::ChainAnalysis& chain, Partials& out) const {
   const sensing::CoverageSums sums = sensing::coverage_sums(
-      entries_, durations_, chain.pi, chain.p.matrix());
+      entries_, durations_, chain.pi, chain.p.csr());
   // For U = −γ J with J = Σ_i λ_i N_i / D (N_i = sums.covered[i],
   // D = sums.expected), the quotient rule gives
   //   ∂U/∂x = −(γ/D) Σ_i λ_i ∂N_i/∂x + (γ J / D) ∂D/∂x.

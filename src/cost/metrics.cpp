@@ -11,7 +11,7 @@ std::vector<double> coverage_shares(const markov::ChainAnalysis& chain,
                                     const sensing::CoverageTensors& tensors) {
   const std::size_t n = chain.p.size();
   const sensing::CoverageSums sums = sensing::coverage_sums(
-      tensors.entries(), tensors.durations(), chain.pi, chain.p.matrix());
+      tensors.entries(), tensors.durations(), chain.pi, chain.p.csr());
   std::vector<double> shares(n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     shares[i] = sums.covered[i] / sums.expected;
@@ -28,7 +28,7 @@ Metrics compute_metrics(const markov::ChainAnalysis& chain,
   // g_i = Σ π_j p_jk (T_jk,i − Φ_i T_jk) = covered_i − Φ_i Ē, the split
   // CoverageDeviationTerm uses; C̄_i = covered_i / Ē.
   const sensing::CoverageSums sums = sensing::coverage_sums(
-      tensors.entries(), tensors.durations(), chain.pi, chain.p.matrix());
+      tensors.entries(), tensors.durations(), chain.pi, chain.p.csr());
   m.c_share.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     m.c_share[i] = sums.covered[i] / sums.expected;

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <vector>
+
 #include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
+#include "src/markov/transition_matrix.hpp"
 
 namespace mocos::cost {
 
@@ -9,19 +13,25 @@ namespace mocos::cost {
 /// Eq. 10 before the Markov-chain chain rule is applied.
 ///
 /// Cost terms *accumulate* into a shared Partials so a composite cost makes a
-/// single chain-rule pass. A cost whose terms never read Z builds it
-/// without the ∂U/∂Z buffer (`with_z` false), which then stays empty.
+/// single chain-rule pass. ∂U/∂P lives on P's pattern: a transition the chain
+/// cannot take has no derivative the descent could follow. A cost whose
+/// terms never read Z builds it without the ∂U/∂Z buffer (`with_z` false),
+/// which then stays empty.
 struct Partials {
-  explicit Partials(std::size_t n, bool with_z = true)
-      : du_dpi(n, 0.0),
-        du_dz(with_z ? n : 0, with_z ? n : 0, 0.0),
-        du_dp(n, n, 0.0) {}
+  /// Buffers for a chain over `p`'s pattern.
+  explicit Partials(const markov::TransitionMatrix& p, bool with_z = true);
+  /// Buffers for an n-state chain over every transition.
+  explicit Partials(std::size_t n, bool with_z = true);
 
-  linalg::Vector du_dpi;  // ∂U/∂π_i
-  linalg::Matrix du_dz;   // ∂U/∂z_ij; empty when built without it
-  linalg::Matrix du_dp;   // ∂U/∂p_ij (the direct dependence only)
+  linalg::Vector du_dpi;       // ∂U/∂π_i
+  linalg::Matrix du_dz;        // ∂U/∂z_ij; empty when built without it
+  linalg::SparseMatrix du_dp;  // ∂U/∂p_ij on P's pattern (direct only)
 
   std::size_t size() const { return du_dpi.size(); }
+
+  /// du_dp's values, slot for slot with `p`'s stored entries;
+  /// std::invalid_argument unless du_dp is on `p`'s pattern.
+  std::vector<double>& dp_on(const markov::TransitionMatrix& p);
 
   Partials& operator+=(const Partials& rhs);
 

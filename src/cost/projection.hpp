@@ -1,6 +1,8 @@
 #pragma once
 
 #include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
+#include "src/markov/transition_matrix.hpp"
 
 namespace mocos::cost {
 
@@ -14,14 +16,14 @@ namespace mocos::cost {
 /// entrywise bounds (handled by descent/step_bounds).
 linalg::Matrix project_row_sum_zero(const linalg::Matrix& grad);
 
-/// Support-masked variant: per row, the mean is taken over the entries where
-/// p(i,j) != 0 (the support of a support-restricted chain) and off-support
-/// entries of the result are forced to exactly 0, so a step along the
-/// projected direction never re-opens a structurally-zero transition. For a
-/// strictly positive `p` this reduces to project_row_sum_zero bit-for-bit
-/// (same summation order, same divisor).
-linalg::Matrix project_row_sum_zero_on_support(const linalg::Matrix& grad,
-                                               const linalg::Matrix& p);
+/// The same projection on P's pattern: per row, the mean is taken over the
+/// stored entries where p_ij != 0 and only those move, so a step along the
+/// projected direction never opens a transition off the pattern or an
+/// explicit zero on it. `grad` must be on `p`'s pattern (the result is).
+/// For a strictly positive P on the full pattern this is
+/// project_row_sum_zero bit-for-bit (same summation order, same divisor).
+linalg::SparseMatrix project_row_sum_zero_on_support(
+    const linalg::SparseMatrix& grad, const markov::TransitionMatrix& p);
 
 /// Max-abs row-sum — used by tests to assert the projection's invariant and
 /// by the descent loop to detect drift that would need re-normalization.

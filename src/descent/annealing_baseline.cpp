@@ -25,16 +25,16 @@ AnnealingResult anneal_schedule(const cost::CompositeCost& cost,
     throw std::invalid_argument("anneal_schedule: infeasible start");
 
   AnnealingResult result{p, current, 0, 0};
-  const std::size_t n = p.size();
 
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
-    // Random row-sum-zero proposal, cooled like the temperature.
+    // Random row-sum-zero proposal on P's pattern, cooled like the
+    // temperature.
     const double cool = std::log(2.0) / std::log(static_cast<double>(it) + 2.0);
-    linalg::Matrix noise(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        noise(i, j) = rng.gaussian(0.0, config.proposal_scale * cool);
-    const linalg::Matrix direction = cost::project_row_sum_zero(noise);
+    linalg::SparseMatrix noise(p.csr().shared_pattern());
+    for (double& x : noise.values())
+      x = rng.gaussian(0.0, config.proposal_scale * cool);
+    const linalg::SparseMatrix direction =
+        cost::project_row_sum_zero_on_support(noise, p);
 
     const markov::TransitionMatrix candidate =
         apply_step(p, direction, 1.0, config.probability_margin);

@@ -16,8 +16,10 @@ CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost)
 
 util::Status CachedCostEvaluator::refresh(const markov::TransitionMatrix& p) {
   obs::ScopedPhase phase("chain_solve");
-  // Exact entrywise equality: the memo answers only a bit-identical repeat.
-  if (memo_ && memo_->chain.p.matrix() == p.matrix()) {
+  // Exact equality, pattern first (the same object on a descent, so O(1))
+  // and then every stored value: the memo answers only a bit-identical
+  // repeat.
+  if (memo_ && memo_->chain.p == p) {
     ++stats_.exact_hits;
     return util::Status::ok();
   }

@@ -1,6 +1,7 @@
 #include "src/descent/initializers.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "src/markov/ergodicity.hpp"
 
@@ -11,22 +12,16 @@ markov::TransitionMatrix uniform_start(std::size_t n) {
 }
 
 markov::TransitionMatrix support_uniform_start(
-    const std::vector<std::vector<std::size_t>>& support) {
-  const std::size_t n = support.size();
-  linalg::Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bool has_self = false;
-    for (std::size_t j : support[i]) {
-      if (j >= n)
-        throw std::invalid_argument(
-            "support_uniform_start: support index out of range");
-      if (j == i) has_self = true;
-    }
-    if (!has_self)
+    const linalg::Pattern& support) {
+  linalg::SparseMatrix m(support);
+  const auto& offsets = support->row_offsets();
+  for (std::size_t i = 0; i < support->rows(); ++i) {
+    if (support->diagonal(i) == linalg::SparsityPattern::npos)
       throw std::invalid_argument(
           "support_uniform_start: row support must include the self loop");
-    const double u = 1.0 / static_cast<double>(support[i].size());
-    for (std::size_t j : support[i]) m(i, j) = u;
+    const double u = 1.0 / static_cast<double>(offsets[i + 1] - offsets[i]);
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+      m.values()[e] = u;
   }
   return markov::TransitionMatrix(std::move(m));
 }

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/util/rng.hpp"
 
@@ -11,13 +12,12 @@ namespace mocos::descent {
 /// V1 initial condition: p_ij = 1/M.
 markov::TransitionMatrix uniform_start(std::size_t n);
 
-/// Support-restricted initial condition: row i is uniform over support[i]
-/// (which must include i itself so the chain is aperiodic) and exactly zero
-/// elsewhere. The structural zeros are preserved by the descent's
-/// support-masked projection and zero-preserving steps, which is what keeps
-/// city-scale chains sparse through the whole optimization.
-markov::TransitionMatrix support_uniform_start(
-    const std::vector<std::vector<std::size_t>>& support);
+/// Support-restricted initial condition on the support pattern itself
+/// (core::Problem::pattern()): row i is uniform over its stored entries,
+/// which must include i itself so the chain is aperiodic. The chain keeps
+/// that pattern object through the whole descent, so the cost terms read
+/// T_jk by slot and city-scale chains stay sparse end to end.
+markov::TransitionMatrix support_uniform_start(const linalg::Pattern& support);
 
 /// V2 initial condition: the paper's random row-stochastic construction.
 /// Retries (bounded) until the sampled chain is ergodic with every entry

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/descent/descent_loop.hpp"
 #include "src/descent/line_search.hpp"
@@ -55,26 +56,32 @@ double safe_cost(const cost::CompositeCost& cost,
 }
 
 markov::TransitionMatrix apply_step(const markov::TransitionMatrix& p,
-                                    const linalg::Matrix& v, double t,
+                                    const linalg::SparseMatrix& v, double t,
                                     double margin) {
-  const std::size_t n = p.size();
-  linalg::Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
+  if (!v.shared_pattern() || !(v.pattern() == p.pattern()))
+    throw std::invalid_argument("apply_step: V is not on P's pattern");
+  const linalg::SparseMatrix& from = p.csr();
+  linalg::SparseMatrix m(from.shared_pattern());
+  const auto& offsets = from.row_offsets();
+  const std::vector<double>& pv = from.values();
+  const std::vector<double>& vv = v.values();
+  std::vector<double>& out = m.values();
+  for (std::size_t i = 0; i < p.size(); ++i) {
     double row_sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      // Structural zeros of a support-restricted chain stay exactly zero:
-      // the support-masked gradient projection gives them a zero direction,
-      // and clamping them up to `margin` would silently densify the chain.
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+      // An explicit zero on the pattern stays exactly zero: the projection
+      // gives it a zero direction, and clamping it up to `margin` would
+      // reopen a transition the chain had closed.
       // mocos-lint: allow(float-eq)
-      if (p(i, j) == 0.0 && v(i, j) == 0.0) continue;
-      const double x =
-          std::clamp(p(i, j) + t * v(i, j), margin, 1.0 - margin);
-      m(i, j) = x;
+      if (pv[e] == 0.0 && vv[e] == 0.0) continue;
+      const double x = std::clamp(pv[e] + t * vv[e], margin, 1.0 - margin);
+      out[e] = x;
       row_sum += x;
     }
     // The direction is row-sum-zero, so row_sum ≈ 1 up to clamping;
     // renormalize exactly.
-    for (std::size_t j = 0; j < n; ++j) m(i, j) /= row_sum;
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+      out[e] /= row_sum;
   }
   return markov::TransitionMatrix(std::move(m));
 }
@@ -99,10 +106,11 @@ DescentResult SteepestDescent::run(
   DescentLoop loop(DescentLoop::Driver::kSteepest, cost_, config_,
                    config_.keep_trace, start);
   // Polak–Ribière+ state (only used by the CG direction policy).
-  linalg::Matrix prev_grad;
-  linalg::Matrix prev_direction;
+  linalg::SparseMatrix prev_grad;
+  linalg::SparseMatrix prev_direction;
 
-  loop.run(config_.max_iterations, [&](std::size_t, linalg::Matrix& grad) {
+  loop.run(config_.max_iterations,
+           [&](std::size_t, linalg::SparseMatrix& grad) {
     DescentLoop::Pass pass;
     pass.grad_norm = linalg::frobenius_norm(grad);
     if (pass.grad_norm < kGradientTolerance) {
@@ -110,7 +118,7 @@ DescentResult SteepestDescent::run(
       pass.recorded = false;
       return pass;
     }
-    linalg::Matrix direction = grad * (-1.0);
+    linalg::SparseMatrix direction = grad * (-1.0);
     if (config_.direction_policy == DirectionPolicy::kConjugateGradient &&
         !prev_grad.empty()) {
       // beta = max(0, <g, g - g_prev> / <g_prev, g_prev>)  (PR+).

@@ -30,4 +30,14 @@ double max_abs(const Matrix& m) {
   return best;
 }
 
+double frobenius_norm(const SparseMatrix& m) {
+  return std::sqrt(frobenius_dot(m, m));
+}
+
+double max_abs(const SparseMatrix& m) {
+  double best = 0.0;
+  for (double x : m.values()) best = std::max(best, std::abs(x));
+  return best;
+}
+
 }  // namespace mocos::linalg

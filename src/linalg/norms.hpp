@@ -1,6 +1,7 @@
 #pragma once
 
 #include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 
 namespace mocos::linalg {
 
@@ -16,5 +17,10 @@ double norm1(const Vector& v);
 double frobenius_norm(const Matrix& m);
 /// Max-abs entry of a matrix.
 double max_abs(const Matrix& m);
+
+/// The same over the stored entries of a sparse matrix, in slot order (the
+/// unstored entries are zeros and change neither).
+double frobenius_norm(const SparseMatrix& m);
+double max_abs(const SparseMatrix& m);
 
 }  // namespace mocos::linalg

@@ -7,13 +7,15 @@
 
 namespace mocos::markov {
 
-double entropy_rate(const linalg::Matrix& p, const linalg::Vector& pi) {
-  if (p.rows() != pi.size())
+double entropy_rate(const TransitionMatrix& p, const linalg::Vector& pi) {
+  if (p.size() != pi.size())
     throw std::invalid_argument("entropy_rate: size mismatch");
+  const auto& offsets = p.csr().row_offsets();
+  const auto& values = p.csr().values();
   double h = 0.0;
-  for (std::size_t i = 0; i < p.rows(); ++i) {
-    for (std::size_t j = 0; j < p.cols(); ++j) {
-      const double q = p(i, j);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+      const double q = values[e];
       if (q > 0.0) h -= pi[i] * q * std::log(q);
     }
   }
@@ -21,7 +23,7 @@ double entropy_rate(const linalg::Matrix& p, const linalg::Vector& pi) {
 }
 
 double entropy_rate(const TransitionMatrix& p) {
-  return entropy_rate(p.matrix(), try_stationary_distribution(p).value());
+  return entropy_rate(p, try_stationary_distribution(p).value());
 }
 
 double max_entropy_rate(std::size_t n_states) {

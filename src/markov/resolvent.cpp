@@ -18,14 +18,19 @@ namespace {
 
 /// Resolvent system I − P + 𝟙cᵀ with the fixed reference vector c = 𝟙/M.
 /// Unlike I − P + W it does not depend on π, so one factorization yields π
-/// as well as Z.
-linalg::Matrix resolvent_system(const linalg::Matrix& p) {
+/// as well as Z. Each entry is (δ_ij − p_ij) + c, with p_ij = 0 off the
+/// pattern.
+linalg::Matrix resolvent_system(const linalg::SparseMatrix& p) {
   const std::size_t n = p.rows();
   const double c = 1.0 / static_cast<double>(n);
   linalg::Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      m(i, j) = (i == j ? 1.0 : 0.0) - p(i, j) + c;
+    for (std::size_t j = 0; j < n; ++j) m(i, j) = (i == j ? 1.0 : 0.0) + c;
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+      m(i, cols[e]) = (i == cols[e] ? 1.0 : 0.0) - p.values()[e] + c;
   return m;
 }
 
@@ -40,7 +45,7 @@ void record_sparse_fallback(const util::Status& why) {
 
 }  // namespace
 
-util::Status check_stationary_residual(const sparse::SparseMatrix& p,
+util::Status check_stationary_residual(const linalg::SparseMatrix& p,
                                        const linalg::Vector& pi) {
   const linalg::Vector pi_p = p.transpose_matvec(pi);
   double residual = 0.0;
@@ -54,29 +59,28 @@ util::Status check_stationary_residual(const sparse::SparseMatrix& p,
   return util::Status(util::StatusCode::kNotErgodic, message);
 }
 
-util::Status Resolvent::try_factor_sparse(const linalg::Matrix& p,
+util::Status Resolvent::try_factor_sparse(const linalg::SparseMatrix& p,
                                           const linalg::Vector& c) {
   obs::ScopedPhase phase("sparse.resolvent");
-  const sparse::SparseMatrix csr = sparse::SparseMatrix::from_dense(p);
   util::StatusOr<partition::SparseResolvent> ladder =
-      partition::SparseResolvent::try_factor(csr, c);
+      partition::SparseResolvent::try_factor(p, c);
   if (!ladder.ok()) return ladder.status();
   util::StatusOr<linalg::Vector> pi = ladder->try_stationary();
   if (!pi.ok()) return pi.status();
-  util::Status fixed_point = check_stationary_residual(csr, *pi);
+  util::Status fixed_point = check_stationary_residual(p, *pi);
   if (!fixed_point.is_ok()) return fixed_point;
   sparse_.emplace(std::move(*ladder));
   pi_ = std::move(*pi);
   return util::Status::ok();
 }
 
-util::StatusOr<Resolvent> Resolvent::try_factor(const linalg::Matrix& p,
+util::StatusOr<Resolvent> Resolvent::try_factor(const TransitionMatrix& p,
                                                 SolvePolicy policy) {
-  const std::size_t n = p.rows();
+  const std::size_t n = p.size();
   const linalg::Vector c(n, 1.0 / static_cast<double>(n));
   Resolvent res;
-  if (routes_sparse(policy, p)) {
-    util::Status sparse = res.try_factor_sparse(p, c);
+  if (routes_sparse(policy, p.csr())) {
+    util::Status sparse = res.try_factor_sparse(p.csr(), c);
     if (sparse.is_ok()) {
       obs::count("markov.sparse.solves");
       return res;
@@ -84,7 +88,7 @@ util::StatusOr<Resolvent> Resolvent::try_factor(const linalg::Matrix& p,
     record_sparse_fallback(sparse);
   }
   util::StatusOr<linalg::LuDecomposition> lu =
-      linalg::LuDecomposition::try_factor(resolvent_system(p));
+      linalg::LuDecomposition::try_factor(resolvent_system(p.csr()));
   if (!lu.ok()) return lu.status();
   // πᵀA = cᵀ: one transposed solve against the same factors.
   res.pi_ = lu->solve_transposed(c);
@@ -165,11 +169,10 @@ util::StatusOr<ResolventAnalysis> analyze_through(Resolvent resolvent,
 util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
     const TransitionMatrix& p, SolvePolicy policy, AnalysisLevel level) {
   obs::ScopedPhase phase("chain.full_solve");
-  const linalg::Matrix& m = p.matrix();
-  util::Status input = util::check_row_stochastic(m);
+  util::Status input = util::check_row_stochastic(p.csr());
   if (!input.is_ok()) return input;
 
-  util::StatusOr<Resolvent> resolvent = Resolvent::try_factor(m, policy);
+  util::StatusOr<Resolvent> resolvent = Resolvent::try_factor(p, policy);
   if (!resolvent.ok()) return resolvent.status();
   const bool sparse = resolvent->sparse();
   util::StatusOr<ResolventAnalysis> solved =
@@ -179,7 +182,7 @@ util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
   // 1e-10 parity contract; a failure past the factorization (a stalled
   // Krylov column of G, a non-positive π) reruns the analysis dense.
   record_sparse_fallback(solved.status());
-  resolvent = Resolvent::try_factor(m, SolvePolicy::kDense);
+  resolvent = Resolvent::try_factor(p, SolvePolicy::kDense);
   if (!resolvent.ok()) return resolvent.status();
   return analyze_through(std::move(*resolvent), p, policy, level);
 }

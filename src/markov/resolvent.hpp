@@ -8,7 +8,7 @@
 #include "src/markov/solve_policy.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/partition/block_solver.hpp"
-#include "src/sparse/sparse_matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::markov {
@@ -36,7 +36,7 @@ class Resolvent {
   /// factorization counts markov.sparse.solves, each switch from the ladder
   /// to the dense LU markov.sparse.fallbacks.
   [[nodiscard]] static util::StatusOr<Resolvent> try_factor(
-      const linalg::Matrix& p, SolvePolicy policy = SolvePolicy::kAuto);
+      const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
 
   /// True when the sparse ladder produced the factorization.
   [[nodiscard]] bool sparse() const { return sparse_.has_value(); }
@@ -54,9 +54,10 @@ class Resolvent {
  private:
   Resolvent() = default;
 
-  /// The sparse ladder's factorization of `p` and its π, kept only when
-  /// every rung step succeeds and π passes the fixed-point gate.
-  [[nodiscard]] util::Status try_factor_sparse(const linalg::Matrix& p,
+  /// The sparse ladder's factorization of `p`'s stored entries and its π,
+  /// kept only when every rung step succeeds and π passes the fixed-point
+  /// gate.
+  [[nodiscard]] util::Status try_factor_sparse(const linalg::SparseMatrix& p,
                                                const linalg::Vector& c);
 
   std::optional<linalg::LuDecomposition> dense_;
@@ -71,7 +72,7 @@ inline constexpr double kStationaryResidualTol = 1e-12;
 /// chain `p`: ‖πᵀP − πᵀ‖∞ ≤ kStationaryResidualTol. Resolvent::try_factor
 /// accepts the sparse ladder's π only through this check.
 [[nodiscard]] util::Status check_stationary_residual(
-    const sparse::SparseMatrix& p, const linalg::Vector& pi);
+    const linalg::SparseMatrix& p, const linalg::Vector& pi);
 
 /// A chain analysis made through a Resolvent.
 struct ResolventAnalysis {

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/markov/resolvent.hpp"
@@ -28,13 +29,43 @@ linalg::Matrix fundamental_directional_derivative(const ChainAnalysis& chain,
                                pi_pdot_z2);
 }
 
-linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
-                                   const linalg::Vector& du_dpi,
-                                   const linalg::Matrix& du_dz,
-                                   const linalg::Matrix& du_dp) {
+namespace {
+
+/// std::invalid_argument unless the partials fit the chain: ∂U/∂π of size M
+/// and ∂U/∂P on chain.p's pattern.
+void require_partials_fit(const ChainAnalysis& chain,
+                          const linalg::Vector& du_dpi,
+                          const linalg::SparseMatrix& du_dp,
+                          const char* what) {
+  if (du_dpi.size() != chain.p.size() || !du_dp.shared_pattern() ||
+      !(du_dp.pattern() == chain.p.pattern()))
+    throw std::invalid_argument(std::string(what) + ": size mismatch");
+}
+
+/// grad_e = π_k v_l + ∂U/∂p_e over the pattern's entries e = (k, l).
+linalg::SparseMatrix pi_channel_plus(const ChainAnalysis& chain,
+                                     const linalg::Vector& v,
+                                     const linalg::SparseMatrix& du_dp) {
+  linalg::SparseMatrix grad(du_dp.shared_pattern());
+  const auto& offsets = du_dp.row_offsets();
+  const auto& cols = du_dp.col_indices();
+  const auto& dp = du_dp.values();
+  std::vector<double>& g = grad.values();
+  for (std::size_t k = 0; k < chain.p.size(); ++k)
+    for (std::size_t e = offsets[k]; e < offsets[k + 1]; ++e)
+      g[e] = chain.pi[k] * v[cols[e]] + dp[e];
+  return grad;
+}
+
+}  // namespace
+
+linalg::SparseMatrix chain_rule_gradient(const ChainAnalysis& chain,
+                                         const linalg::Vector& du_dpi,
+                                         const linalg::Matrix& du_dz,
+                                         const linalg::SparseMatrix& du_dp) {
   const std::size_t n = chain.p.size();
-  if (du_dpi.size() != n || du_dz.rows() != n || du_dz.cols() != n ||
-      du_dp.rows() != n || du_dp.cols() != n)
+  require_partials_fit(chain, du_dpi, du_dp, "chain_rule_gradient");
+  if (du_dz.rows() != n || du_dz.cols() != n)
     throw std::invalid_argument("chain_rule_gradient: size mismatch");
   const linalg::Matrix& z = chain.fundamental();
 
@@ -54,11 +85,14 @@ linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
     for (std::size_t j = 0; j < n; ++j) col_sum_g[j] += du_dz(i, j);
   const linalg::Vector s = linalg::mul(z, linalg::mul(z, col_sum_g));
 
-  linalg::Matrix grad(n, n);
+  linalg::SparseMatrix grad(du_dp.shared_pattern());
+  const auto& offsets = du_dp.row_offsets();
+  const auto& cols = du_dp.col_indices();
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t l = 0; l < n; ++l) {
-      grad(k, l) = chain.pi[k] * z_dupi[l] + term_zz(k, l) -
-                   chain.pi[k] * s[l] + du_dp(k, l);
+    for (std::size_t e = offsets[k]; e < offsets[k + 1]; ++e) {
+      const std::size_t l = cols[e];
+      grad.values()[e] = chain.pi[k] * z_dupi[l] + term_zz(k, l) -
+                         chain.pi[k] * s[l] + du_dp.values()[e];
     }
   }
   return grad;
@@ -73,21 +107,19 @@ util::StatusOr<linalg::Vector> fundamental_product(const ChainAnalysis& chain,
                                                    const Resolvent* resolvent) {
   if (resolvent != nullptr)
     return resolvent->try_fundamental_apply(chain.pi, v);
-  util::StatusOr<Resolvent> factored = Resolvent::try_factor(chain.p.matrix());
+  util::StatusOr<Resolvent> factored = Resolvent::try_factor(chain.p);
   if (!factored.ok()) return factored.status();
   return factored->try_fundamental_apply(chain.pi, v);
 }
 
 }  // namespace
 
-linalg::Matrix stationary_chain_rule_gradient(const ChainAnalysis& chain,
-                                              const linalg::Vector& du_dpi,
-                                              const linalg::Matrix& du_dp,
-                                              const Resolvent* resolvent) {
+linalg::SparseMatrix stationary_chain_rule_gradient(
+    const ChainAnalysis& chain, const linalg::Vector& du_dpi,
+    const linalg::SparseMatrix& du_dp, const Resolvent* resolvent) {
   const std::size_t n = chain.p.size();
-  if (du_dpi.size() != n || du_dp.rows() != n || du_dp.cols() != n)
-    throw std::invalid_argument(
-        "stationary_chain_rule_gradient: size mismatch");
+  require_partials_fit(chain, du_dpi, du_dp,
+                       "stationary_chain_rule_gradient");
 
   linalg::Vector z_dupi;
   if (chain.level() == AnalysisLevel::kFundamental) {
@@ -99,12 +131,7 @@ linalg::Matrix stationary_chain_rule_gradient(const ChainAnalysis& chain,
                  ? std::move(*solved)
                  : linalg::Vector(n, std::numeric_limits<double>::quiet_NaN());
   }
-
-  linalg::Matrix grad(n, n);
-  for (std::size_t k = 0; k < n; ++k)
-    for (std::size_t l = 0; l < n; ++l)
-      grad(k, l) = chain.pi[k] * z_dupi[l] + du_dp(k, l);
-  return grad;
+  return pi_channel_plus(chain, z_dupi, du_dp);
 }
 
 }  // namespace mocos::markov

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/fundamental.hpp"
 
 namespace mocos::markov {
@@ -24,15 +25,18 @@ linalg::Matrix fundamental_directional_derivative(const ChainAnalysis& chain,
 
 /// Adjoint (reverse-mode) combination, Eq. 10 of the paper: given the partial
 /// derivatives of a scalar U with respect to π, Z and P (holding the others
-/// fixed), returns the full gradient matrix
+/// fixed; ∂U/∂P on chain.p's pattern), returns the full gradient on P's
+/// pattern
 ///
 ///   [D_P U]_kl = Σ_i π_k z_li ∂U/∂π_i
 ///              + Σ_ij ∂U/∂z_ij [ z_ik z_lj - π_k (Z²)_lj ]
 ///              + ∂U/∂p_kl .
-linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
-                                   const linalg::Vector& du_dpi,
-                                   const linalg::Matrix& du_dz,
-                                   const linalg::Matrix& du_dp);
+///
+/// The Z-channel is assembled dense and gathered onto the pattern.
+linalg::SparseMatrix chain_rule_gradient(const ChainAnalysis& chain,
+                                         const linalg::Vector& du_dpi,
+                                         const linalg::Matrix& du_dz,
+                                         const linalg::SparseMatrix& du_dp);
 
 /// Eq. 10 for a cost that reads (π, P) only, whose Z-channel vanishes:
 ///
@@ -41,9 +45,10 @@ linalg::Matrix chain_rule_gradient(const ChainAnalysis& chain,
 /// Z ∂U/∂π comes from the analysis's Z when it has one, else from one solve
 /// through `resolvent` (a factorization of chain.p's resolvent; null
 /// refactors it). A failed solve fills the gradient with NaN, which the
-/// descent's finite-gradient check turns into a recovery.
-linalg::Matrix stationary_chain_rule_gradient(
+/// descent's finite-gradient check turns into a recovery. O(nnz) past the
+/// solve: the gradient lives on P's pattern.
+linalg::SparseMatrix stationary_chain_rule_gradient(
     const ChainAnalysis& chain, const linalg::Vector& du_dpi,
-    const linalg::Matrix& du_dp, const Resolvent* resolvent = nullptr);
+    const linalg::SparseMatrix& du_dp, const Resolvent* resolvent = nullptr);
 
 }  // namespace mocos::markov

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 
-#include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 
 namespace mocos::markov {
 
@@ -19,16 +19,17 @@ enum class SolvePolicy {
   kPowerIteration,  // dense power-iteration stationary solve; never sparse
 };
 
-/// The kAuto gate, a pure function of P: M >= 192 and density(P) <= 0.25.
-/// Below that size the dense O(M³) pipeline is already microseconds and the
-/// sparse machinery is pure overhead (and small-map flows stay
-/// byte-identical to the dense pipeline).
-[[nodiscard]] bool sparse_path_enabled(const linalg::Matrix& p);
+/// The kAuto gate, a pure function of P's pattern: M >= 192 and at most a
+/// quarter of the M² entries stored. Below that size the dense O(M³)
+/// pipeline is already microseconds and the sparse machinery is pure
+/// overhead (and small-map flows stay byte-identical to the dense pipeline).
+[[nodiscard]] bool sparse_path_enabled(const linalg::SparseMatrix& p);
 
 /// True when `policy` sends chain `p` to the sparse ladder: kAuto defers to
 /// sparse_path_enabled, kSparse needs M >= kSparseForcedMinSize, kDense and
 /// kPowerIteration never do. A sparse failure always falls back to dense.
-[[nodiscard]] bool routes_sparse(SolvePolicy policy, const linalg::Matrix& p);
+[[nodiscard]] bool routes_sparse(SolvePolicy policy,
+                                 const linalg::SparseMatrix& p);
 
 /// The gate thresholds, exposed for tests and the docs.
 inline constexpr std::size_t kSparseAutoMinSize = 192;

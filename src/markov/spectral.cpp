@@ -44,7 +44,7 @@ double slem(const linalg::Matrix& p, const linalg::Vector& pi) {
 }
 
 double slem(const TransitionMatrix& p) {
-  return slem(p.matrix(), try_stationary_distribution(p).value());
+  return slem(p.to_dense(), try_stationary_distribution(p).value());
 }
 
 double slem_exact(const TransitionMatrix& p) {
@@ -53,7 +53,7 @@ double slem_exact(const TransitionMatrix& p) {
 }
 
 std::vector<std::complex<double>> chain_spectrum(const TransitionMatrix& p) {
-  return linalg::eigenvalues(p.matrix());
+  return linalg::eigenvalues(p.to_dense());
 }
 
 double relaxation_time(const TransitionMatrix& p) {
@@ -68,7 +68,8 @@ std::size_t mixing_time(const TransitionMatrix& p, double eps,
     throw std::invalid_argument("mixing_time: eps must be in (0,1)");
   const std::size_t n = p.size();
   const linalg::Vector pi = try_stationary_distribution(p).value();
-  linalg::Matrix power = p.matrix();
+  const linalg::Matrix dense = p.to_dense();
+  linalg::Matrix power = dense;
   for (std::size_t t = 1; t <= max_steps; ++t) {
     double worst = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -78,7 +79,7 @@ std::size_t mixing_time(const TransitionMatrix& p, double eps,
       worst = std::max(worst, 0.5 * tv);
     }
     if (worst <= eps) return t;
-    power = power * p.matrix();
+    power = power * dense;
   }
   throw std::runtime_error("mixing_time: did not mix within max_steps");
 }

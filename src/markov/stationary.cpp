@@ -41,7 +41,7 @@ util::StatusOr<linalg::Vector> try_direct(const TransitionMatrix& p,
   // The descent's own π solve: one factorization of the resolvent system
   // and one transposed solve, on the sparse ladder where `policy` routes P.
   util::StatusOr<Resolvent> resolvent =
-      Resolvent::try_factor(p.matrix(), policy);
+      Resolvent::try_factor(p, policy);
   if (!resolvent.ok()) return resolvent.status();
   linalg::Vector pi = resolvent->stationary();
   const util::Status status = finish_distribution(pi, 1e-9);
@@ -55,7 +55,7 @@ util::StatusOr<linalg::Vector> try_power(const TransitionMatrix& p) {
   if (!status.is_ok()) return status;
   // Power iteration always returns *something*; insist it is actually a
   // fixed point so periodic/reducible chains are reported, not mis-solved.
-  const linalg::Vector next = linalg::mul(pi, p.matrix());
+  const linalg::Vector next = p.csr().transpose_matvec(pi);
   const double residual = linalg::norm1(linalg::vsub(next, pi));
   if (!(residual < 1e-8))
     return util::Status(
@@ -72,7 +72,7 @@ linalg::Vector stationary_power_iteration(const TransitionMatrix& p,
   const std::size_t n = p.size();
   linalg::Vector x(n, 1.0 / static_cast<double>(n));
   for (std::size_t it = 0; it < max_iters; ++it) {
-    linalg::Vector next = linalg::mul(x, p.matrix());
+    linalg::Vector next = p.csr().transpose_matvec(x);
     const double change = linalg::norm1(linalg::vsub(next, x));
     x = std::move(next);
     if (change < tol) break;

@@ -1,20 +1,28 @@
 #pragma once
 
 #include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/util/rng.hpp"
 
 namespace mocos::markov {
 
 /// Row-stochastic transition matrix of the scheduling Markov chain
-/// (the paper's P = {p_ij}; §III-A).
+/// (the paper's P = {p_ij}; §III-A), stored as values on a CSR pattern: the
+/// transitions the chain may take. An unrestricted chain's pattern holds
+/// all M² entries; a support-restricted one only its support, so a
+/// transition off the pattern is a structural zero that no step can open.
 ///
-/// Invariants validated at construction:
+/// Invariants validated at construction, over the stored entries:
 ///  - square, size >= 2;
 ///  - entries in [-tol, 1+tol], clamped into [0,1];
 ///  - each row sums to 1 within tol, then exactly renormalized.
 class TransitionMatrix {
  public:
+  /// From a dense matrix; the pattern is its nonzeros after validation.
   explicit TransitionMatrix(linalg::Matrix m, double tol = 1e-8);
+  /// Values on a given pattern, which stays the pattern even where a value
+  /// is an exact zero.
+  explicit TransitionMatrix(linalg::SparseMatrix m, double tol = 1e-8);
 
   /// The paper's V1 initial condition: p_ij = 1/M for all i,j.
   static TransitionMatrix uniform(std::size_t n);
@@ -25,15 +33,32 @@ class TransitionMatrix {
   static TransitionMatrix random(std::size_t n, util::Rng& rng);
 
   std::size_t size() const { return m_.rows(); }
+  /// p_ij; 0 off the pattern.
   double operator()(std::size_t i, std::size_t j) const { return m_(i, j); }
-  const linalg::Matrix& matrix() const { return m_; }
-  linalg::Vector row(std::size_t i) const { return m_.row(i); }
+  /// The stored entries: CSR values on the pattern.
+  const linalg::SparseMatrix& csr() const { return m_; }
+  const linalg::SparsityPattern& pattern() const { return m_.pattern(); }
+  /// Row i as a dense vector (the simulators sample from it).
+  linalg::Vector row(std::size_t i) const;
+  /// A dense M×M copy, for the dense-only algorithms (eigenvalues, the
+  /// dense Z, printing).
+  linalg::Matrix to_dense() const { return m_.to_dense(); }
 
-  /// Smallest entry — the barrier terms keep this strictly positive.
+  /// Smallest entry, zeros off the pattern included — the barrier terms
+  /// keep the stored ones strictly positive.
   double min_entry() const;
 
+  /// The same pattern (checked first) and the same values.
+  friend bool operator==(const TransitionMatrix& a,
+                         const TransitionMatrix& b) {
+    return a.m_ == b.m_;
+  }
+
  private:
-  linalg::Matrix m_;
+  /// Clamps and renormalizes the stored entries row by row.
+  void validate(double tol);
+
+  linalg::SparseMatrix m_;
 };
 
 }  // namespace mocos::markov

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/linalg/guard.hpp"
-#include "src/partition/spatial_partition.hpp"
 #include "src/sparse/resolvent_solver.hpp"
 
 namespace mocos::partition {
@@ -24,7 +23,7 @@ constexpr double kBandwidthCapFraction = 1.0 / 3.0;
 }  // namespace
 
 util::StatusOr<SparseResolvent> SparseResolvent::try_factor(
-    const sparse::SparseMatrix& p, const linalg::Vector& c) {
+    const linalg::SparseMatrix& p, const linalg::Vector& c) {
   const std::size_t n = p.rows();
   if (n < 2 || p.rows() != p.cols() || c.size() != n)
     return util::Status(util::StatusCode::kSizeMismatch,
@@ -34,28 +33,17 @@ util::StatusOr<SparseResolvent> SparseResolvent::try_factor(
   res.c_ = c;
 
   // --- Rung 1: RCM + anchored banded LU + Sherman–Morrison. --------------
-  std::vector<std::size_t> perm = bandwidth_ordering(p);
-  const std::size_t bandwidth = pattern_bandwidth(p, perm);
+  // The ordering is a property of P's pattern, computed once per pattern.
+  const linalg::BandOrdering& order = p.pattern().band_ordering();
   const double n_real = static_cast<double>(n);
   const auto cap = static_cast<std::size_t>(kBandwidthCapFraction * n_real);
-  if (bandwidth <= cap) {
-    std::vector<std::size_t> inv(n, 0);
-    for (std::size_t a = 0; a < n; ++a) inv[perm[a]] = a;
-    std::vector<sparse::Triplet> entries;
-    entries.reserve(p.nnz());
-    const auto& offsets = p.row_offsets();
-    const auto& cols = p.col_indices();
-    const auto& vals = p.values();
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-        entries.push_back({inv[i], inv[cols[e]], vals[e]});
-    const sparse::SparseMatrix permuted =
-        sparse::SparseMatrix::from_triplets(n, n, entries);
+  if (order.bandwidth <= cap) {
     linalg::Vector c_perm(n);
-    for (std::size_t a = 0; a < n; ++a) c_perm[a] = c[perm[a]];
+    for (std::size_t a = 0; a < n; ++a) c_perm[a] = c[order.perm[a]];
 
     util::StatusOr<sparse::BandedResolventLu> lu =
-        sparse::BandedResolventLu::try_factor(permuted, c_perm, bandwidth);
+        sparse::BandedResolventLu::try_factor(p, c_perm, order.bandwidth,
+                                              order.position);
     if (lu.ok()) {
       // G = B⁻¹ − w(cᵀB⁻¹·)/denom with w = B⁻¹(𝟙 − e_{n−1}) and
       // denom = 1 + cᵀw.
@@ -65,7 +53,7 @@ util::StatusOr<SparseResolvent> SparseResolvent::try_factor(
       double denom = 1.0;
       for (std::size_t i = 0; i < n; ++i) denom += c_perm[i] * w[i];
       if (std::isfinite(denom) && std::abs(denom) > kAnchorDenominatorFloor) {
-        res.perm_ = std::move(perm);
+        res.perm_ = order.perm;
         res.c_perm_ = std::move(c_perm);
         res.lu_ = std::move(*lu);
         res.w_ = std::move(w);

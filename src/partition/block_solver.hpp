@@ -6,7 +6,7 @@
 
 #include "src/linalg/matrix.hpp"
 #include "src/sparse/banded_lu.hpp"
-#include "src/sparse/sparse_matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::partition {
@@ -25,7 +25,7 @@ namespace mocos::partition {
 class SparseResolvent {
  public:
   [[nodiscard]] static util::StatusOr<SparseResolvent> try_factor(
-      const sparse::SparseMatrix& p, const linalg::Vector& c);
+      const linalg::SparseMatrix& p, const linalg::Vector& c);
 
   /// True on the banded rung, false on the iterative (BiCGSTAB) one.
   [[nodiscard]] bool banded() const { return lu_.has_value(); }
@@ -49,7 +49,7 @@ class SparseResolvent {
   void banded_apply(linalg::Vector& x_perm) const;
 
   linalg::Vector c_;                // the reference row, caller's order
-  sparse::SparseMatrix p_;          // iterative rung: the chain
+  linalg::SparseMatrix p_;          // iterative rung: the chain
   // Banded rung (empty lu_ on the iterative rung), all in RCM order.
   std::vector<std::size_t> perm_;   // RCM position -> caller index
   linalg::Vector c_perm_;

@@ -2,32 +2,52 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/geometry/city_topology.hpp"
 
 namespace mocos::sensing {
 
-namespace {
-// Appends T_jk,i to PoI i's list when it is nonzero. Exact on purpose:
-// absent coverage is an exact 0 by the model conventions; thresholding
-// would drop real (small) coverage.
-void append_coverage(const MotionModel& model, std::size_t j, std::size_t k,
-                     std::size_t i,
-                     std::vector<std::vector<CoverageEntry>>& entries) {
-  const double v = model.coverage_during(j, k, i);
-  // mocos-lint: allow(float-eq)
-  if (v != 0.0) entries[i].push_back({j, k, v});
-}
-}  // namespace
-
-void CoverageTensors::build_dense_matrices(const MotionModel& model) {
+void CoverageTensors::build(const MotionModel& model, linalg::Pattern pattern,
+                            double coverage_reach) {
   const std::size_t n = model.num_pois();
-  durations_ = linalg::Matrix(n, n);
-  distances_ = linalg::Matrix(n, n);
+  durations_ = linalg::SparseMatrix(pattern);
+  distances_ = linalg::SparseMatrix(pattern);
+  const auto& offsets = pattern->row_offsets();
+  const auto& cols = pattern->col_indices();
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = 0; k < n; ++k) {
-      durations_(j, k) = model.transition_duration(j, k);
-      distances_(j, k) = model.travel_distance(j, k);
+    for (std::size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
+      durations_.values()[e] = model.transition_duration(j, cols[e]);
+      distances_.values()[e] = model.travel_distance(j, cols[e]);
+    }
+  }
+
+  // Every PoI is a candidate on an unrestricted problem. On a support, a
+  // PoI covered during j -> k sits within `coverage_reach` of some route
+  // point, hence within route_length + reach of j: one neighbour sweep at
+  // the largest such radius gives sound per-source candidate lists, so the
+  // O(M) scan of all PoIs per transition collapses to O(local density).
+  std::vector<std::vector<std::size_t>> candidates;
+  if (coverage_reach > 0.0) {
+    double max_radius = coverage_reach;
+    for (double d : distances_.values())
+      max_radius = std::max(max_radius, d + coverage_reach);
+    candidates = geometry::radius_neighbors(model.topology(), max_radius);
+  }
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t i = 0; i < n; ++i) everyone[i] = i;
+
+  // Ascending (j, k) appends each PoI's entries already sorted. Exact on
+  // purpose: absent coverage is an exact 0 by the model conventions;
+  // thresholding would drop real (small) coverage.
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
+      const std::size_t k = cols[e];
+      for (std::size_t i : candidates.empty() ? everyone : candidates[j]) {
+        const double v = model.coverage_during(j, k, i);
+        // mocos-lint: allow(float-eq)
+        if (v != 0.0) entries_[i].push_back({j, k, v, e});
+      }
     }
   }
 }
@@ -35,12 +55,7 @@ void CoverageTensors::build_dense_matrices(const MotionModel& model) {
 CoverageTensors::CoverageTensors(const MotionModel& model)
     : entries_(model.num_pois()) {
   const std::size_t n = model.num_pois();
-  build_dense_matrices(model);
-  // Ascending j, then k, appends each PoI's entries already sorted.
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t i = 0; i < n; ++i)
-        append_coverage(model, j, k, i, entries_);
+  build(model, linalg::SparsityPattern::full(n, n), 0.0);
 }
 
 CoverageTensors::CoverageTensors(
@@ -54,62 +69,56 @@ CoverageTensors::CoverageTensors(
   if (!(coverage_reach > 0.0))
     throw std::invalid_argument(
         "CoverageTensors: non-positive coverage reach");
-  build_dense_matrices(model);
-
-  // A PoI covered during j -> k sits within `coverage_reach` of some route
-  // point, hence within route_length + reach of j. One neighbour sweep at
-  // the largest such radius gives sound per-source candidate lists, so the
-  // O(M) scan of all PoIs per transition collapses to O(local density).
-  double max_radius = coverage_reach;
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k : support_[j])
-      max_radius = std::max(max_radius,
-                            model.travel_distance(j, k) + coverage_reach);
-  const std::vector<std::vector<std::size_t>> candidates =
-      geometry::radius_neighbors(model.topology(), max_radius);
-
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k : support_[j]) {
+  for (const auto& row : support_)
+    for (std::size_t k : row)
       if (k >= n)
         throw std::invalid_argument(
             "CoverageTensors: support index out of range");
-      for (std::size_t i : candidates[j])
-        append_coverage(model, j, k, i, entries_);
-    }
-  }
-  // Ascending (j, k) per PoI: the support lists are sorted but the outer
-  // iteration appends per source PoI, which already yields (j, k) order.
-  for (auto& list : entries_) {
-    std::sort(list.begin(), list.end(),
-              [](const CoverageEntry& a, const CoverageEntry& b) {
-                return a.j != b.j ? a.j < b.j : a.k < b.k;
-              });
-  }
+  build(model, linalg::SparsityPattern::from_rows(n, support_),
+        coverage_reach);
+}
+
+std::size_t tensor_slot(const linalg::SparseMatrix& durations, std::size_t j,
+                        std::size_t k) {
+  const std::size_t slot = durations.pattern().find(j, k);
+  if (slot == linalg::SparsityPattern::npos)
+    throw std::invalid_argument(
+        "transition (" + std::to_string(j) + ", " + std::to_string(k) +
+        ") is outside the problem's support");
+  return slot;
 }
 
 CoverageSums coverage_sums(
     const std::vector<std::vector<CoverageEntry>>& entries,
-    const linalg::Matrix& durations, const linalg::Vector& pi,
-    const linalg::Matrix& p) {
+    const linalg::SparseMatrix& durations, const linalg::Vector& pi,
+    const linalg::SparseMatrix& p) {
   const std::size_t n = durations.rows();
   if (entries.size() != n || pi.size() != n || p.rows() != n)
     throw std::invalid_argument("coverage_sums: size mismatch");
+  // The descent's P sits on the tensors' own pattern: slots line up.
+  const bool same = p.pattern() == durations.pattern();
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  const std::vector<double>& pv = p.values();
+  const std::vector<double>& tv = durations.values();
   CoverageSums sums;
-  // Exact zero transitions (the structural zeros of a support-restricted
-  // chain) contribute nothing to Ē, so skipping them is lossless.
+  // Exact zero transitions (explicit zeros on P's pattern) contribute
+  // nothing to Ē, so skipping them is lossless.
   for (std::size_t j = 0; j < n; ++j) {
     const double pj = pi[j];
-    for (std::size_t k = 0; k < n; ++k) {
-      const double pjk = p(j, k);
+    for (std::size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
+      const double pjk = pv[e];
       // mocos-lint: allow(float-eq)
-      if (pjk != 0.0) sums.expected += pj * pjk * durations(j, k);
+      if (pjk == 0.0) continue;
+      const double t = tv[same ? e : tensor_slot(durations, j, cols[e])];
+      sums.expected += pj * pjk * t;
     }
   }
   sums.covered.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     double covered = 0.0;
     for (const CoverageEntry& e : entries[i])
-      covered += pi[e.j] * p(e.j, e.k) * e.value;
+      covered += pi[e.j] * (same ? pv[e.slot] : p(e.j, e.k)) * e.value;
     sums.covered[i] = covered;
   }
   return sums;

@@ -4,16 +4,19 @@
 #include <vector>
 
 #include "src/linalg/matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/sensing/motion_model.hpp"
 
 namespace mocos::sensing {
 
 /// One stored coverage value T_jk,i: PoI i is covered for `value` time units
-/// during the transition j -> k.
+/// during the transition j -> k, which sits at `slot` of the problem's
+/// pattern (CoverageTensors::pattern()).
 struct CoverageEntry {
   std::size_t j = 0;
   std::size_t k = 0;
   double value = 0.0;
+  std::size_t slot = 0;
 };
 
 /// Precomputed physical-time tensors of §III-A, built once per problem:
@@ -21,12 +24,13 @@ struct CoverageEntry {
 ///   durations(j,k)      = T_jk    (travel j->k + pause at k; T_jj = P_j)
 ///   coverage_entries(i) = T_jk,i  (time PoI i is covered during j->k)
 ///
-/// A PoI is covered only on the few routes that pass it, so T_jk,i is stored
-/// as per-PoI (j, k, value) entry lists holding its nonzeros. An unrestricted
-/// problem lists them over all M² transitions; a support-restricted one only
-/// over its support (the transitions its chain may take), which is what
-/// makes M = 1024+ problems buildable at all. Durations and distances stay
-/// dense (O(M²)).
+/// Everything lives on the problem's pattern: the transitions its chain may
+/// take, all M² of them for an unrestricted problem and only the support
+/// for a support-restricted one. Durations and distances are values on that
+/// pattern. A PoI is covered only on the few routes that pass it, so T_jk,i
+/// is stored as per-PoI (j, k, value, slot) entry lists holding its
+/// nonzeros. Keeping all of it on the support is what makes M = 1024+
+/// problems buildable at all.
 class CoverageTensors {
  public:
   /// Entries over every transition.
@@ -42,7 +46,14 @@ class CoverageTensors {
                   double coverage_reach);
 
   std::size_t num_pois() const { return durations_.rows(); }
-  const linalg::Matrix& durations() const { return durations_; }
+  /// T_jk on the pattern.
+  const linalg::SparseMatrix& durations() const { return durations_; }
+  /// The transitions the chain may take. support_uniform_start builds P on
+  /// this very object, so the terms read T_jk, d_jk and the entries' p_jk
+  /// by slot.
+  const linalg::Pattern& pattern() const {
+    return durations_.shared_pattern();
+  }
 
   /// Coverage entries of PoI i, sorted by (j, k); std::out_of_range past M.
   const std::vector<CoverageEntry>& coverage_entries(std::size_t i) const {
@@ -60,14 +71,16 @@ class CoverageTensors {
     return support_;
   }
 
-  /// Travel distances d_jk for the energy objective.
-  const linalg::Matrix& distances() const { return distances_; }
+  /// Travel distances d_jk for the energy objective, on the pattern.
+  const linalg::SparseMatrix& distances() const { return distances_; }
 
  private:
-  void build_dense_matrices(const MotionModel& model);
+  /// Durations, distances and coverage entries over `pattern`.
+  void build(const MotionModel& model, linalg::Pattern pattern,
+             double coverage_reach);
 
-  linalg::Matrix durations_;
-  linalg::Matrix distances_;
+  linalg::SparseMatrix durations_;
+  linalg::SparseMatrix distances_;
   std::vector<std::vector<CoverageEntry>> entries_;
   std::vector<std::vector<std::size_t>> support_;
 };
@@ -76,7 +89,7 @@ class CoverageTensors {
 /// 12):
 ///
 ///   covered[i] = Σ_{j,k} π_j p_jk T_jk,i   (over PoI i's entries)
-///   expected   = Σ_{j,k} π_j p_jk T_jk     (Ē, over the dense durations)
+///   expected   = Σ_{j,k} π_j p_jk T_jk     (Ē, over P's stored entries)
 ///
 /// The coverage share is C̄_i = covered[i] / expected and the coverage
 /// deviation is g_i = covered[i] − Φ_i · expected.
@@ -87,10 +100,18 @@ struct CoverageSums {
 
 /// CoverageSums of the chain (π, P) over `entries` and `durations` (the
 /// lists and matrix of a CoverageTensors, or a cost term's copies of them).
-/// Throws std::invalid_argument unless all four have the same size M.
+/// A P on the tensors' own pattern reads T_jk and p_jk by slot; a P on a
+/// sub-pattern looks them up by (j, k). Throws std::invalid_argument unless
+/// all four have the same size M, or when P stores a transition off the
+/// tensors' pattern.
 CoverageSums coverage_sums(
     const std::vector<std::vector<CoverageEntry>>& entries,
-    const linalg::Matrix& durations, const linalg::Vector& pi,
-    const linalg::Matrix& p);
+    const linalg::SparseMatrix& durations, const linalg::Vector& pi,
+    const linalg::SparseMatrix& p);
+
+/// Slot of T_jk in `durations` for P's entry (j, k); std::invalid_argument
+/// when the tensors' pattern lacks it (P leaves the support).
+std::size_t tensor_slot(const linalg::SparseMatrix& durations, std::size_t j,
+                        std::size_t k);
 
 }  // namespace mocos::sensing

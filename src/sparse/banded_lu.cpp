@@ -14,12 +14,14 @@ constexpr double kPivotFloor = 1e-12;
 }  // namespace
 
 util::StatusOr<BandedResolventLu> BandedResolventLu::try_factor(
-    const SparseMatrix& p, const linalg::Vector& c, std::size_t bandwidth) {
+    const linalg::SparseMatrix& p, const linalg::Vector& c,
+    std::size_t bandwidth, const std::vector<std::size_t>& position) {
   const std::size_t n = p.rows();
-  if (n < 2 || p.rows() != p.cols() || c.size() != n)
+  if (n < 2 || p.rows() != p.cols() || c.size() != n ||
+      (!position.empty() && position.size() != n))
     return util::Status(util::StatusCode::kSizeMismatch,
                         "BandedResolventLu: need square P (n >= 2) and "
-                        "matching anchor row");
+                        "matching anchor row and ordering");
   BandedResolventLu lu;
   lu.n_ = n;
   lu.b_ = std::min(bandwidth, n - 1);
@@ -27,28 +29,36 @@ util::StatusOr<BandedResolventLu> BandedResolventLu::try_factor(
   lu.band_.assign((n - 1) * (2 * b + 1), 0.0);
   lu.last_row_.assign(n, 0.0);
 
-  // Scatter B = I − P + e_{n−1}cᵀ into the band + dense last row.
+  // Scatter B = I − P + e_{n−1}cᵀ into the band + dense last row, in band
+  // order. Every stored entry lands in its own cell, so the scatter order
+  // does not matter.
+  const auto at = [&](std::size_t i) {
+    return position.empty() ? i : position[i];
+  };
+  for (std::size_t a = 0; a + 1 < n; ++a) lu.band(a, a) = 1.0;
+  for (std::size_t j = 0; j < n; ++j)
+    lu.last_row_[j] = (j + 1 == n ? 1.0 : 0.0) + c[j];
   const auto& offsets = p.row_offsets();
   const auto& cols = p.col_indices();
   const auto& vals = p.values();
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    lu.band(i, i) = 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t a = at(i);
     for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      const std::size_t j = cols[e];
-      const std::size_t dist = i > j ? i - j : j - i;
+      const std::size_t j = at(cols[e]);
+      if (a + 1 == n) {
+        lu.last_row_[j] -= vals[e];
+        continue;
+      }
+      const std::size_t dist = a > j ? a - j : j - a;
       if (dist > b)
         return util::Status(
             util::StatusCode::kInvalidConfig,
-            "BandedResolventLu: entry (" + std::to_string(i) + ", " +
+            "BandedResolventLu: entry (" + std::to_string(a) + ", " +
                 std::to_string(j) + ") outside bandwidth " +
                 std::to_string(b));
-      lu.band(i, j) -= vals[e];
+      lu.band(a, j) -= vals[e];
     }
   }
-  for (std::size_t j = 0; j < n; ++j)
-    lu.last_row_[j] = (j + 1 == n ? 1.0 : 0.0) + c[j];
-  for (std::size_t e = offsets[n - 1]; e < offsets[n]; ++e)
-    lu.last_row_[cols[e]] -= vals[e];
 
   // In-place LU, natural order. Fill stays within the band (classic banded
   // property) plus the dense last row, which is eliminated against every

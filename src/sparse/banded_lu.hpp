@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "src/linalg/matrix.hpp"
-#include "src/sparse/sparse_matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::sparse {
@@ -27,11 +28,16 @@ namespace mocos::sparse {
 /// Costs: O(n·b²) factor, O(n·b) per solve — against O(n³)/O(n²) dense.
 class BandedResolventLu {
  public:
-  /// Factors B for the given banded P and anchor row c. `bandwidth` must
-  /// satisfy |i−j| <= bandwidth for every stored entry of P outside the
-  /// last row (checked; violations return kInvalidConfig).
+  /// Factors B for P reordered by `position` (original index -> band
+  /// position; empty keeps P's own order) and the anchor row c, given in
+  /// band order. Each entry p_ij is scattered straight into the band at
+  /// (position[i], position[j]), so no permuted copy of P is built.
+  /// `bandwidth` must bound |position[i] − position[j]| over every stored
+  /// entry outside the last band row (checked; violations return
+  /// kInvalidConfig).
   [[nodiscard]] static util::StatusOr<BandedResolventLu> try_factor(
-      const SparseMatrix& p, const linalg::Vector& c, std::size_t bandwidth);
+      const linalg::SparseMatrix& p, const linalg::Vector& c,
+      std::size_t bandwidth, const std::vector<std::size_t>& position = {});
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] std::size_t bandwidth() const { return b_; }

@@ -3,7 +3,7 @@
 #include <cstddef>
 
 #include "src/linalg/matrix.hpp"
-#include "src/sparse/sparse_matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::sparse {
@@ -18,7 +18,7 @@ namespace mocos::sparse {
 /// the descent's fixed-c resolvent (I − P + 𝟙cᵀ); with u = c = 𝟙
 /// it is the dense stationary system B = I − Pᵀ + ones in transposed form.
 struct ResolventOperator {
-  const SparseMatrix* p = nullptr;  // not owned; must outlive the operator
+  const linalg::SparseMatrix* p = nullptr;  // not owned; must outlive the operator
   linalg::Vector u;                 // rank-one column
   linalg::Vector c;                 // rank-one row
 

@@ -32,7 +32,7 @@ inline markov::ChainAnalysis kemeny_snell_analysis(
     const markov::TransitionMatrix& p) {
   linalg::Vector pi = unwrap(
       markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
-  linalg::Matrix z = unwrap(markov::try_fundamental_matrix(p.matrix(), pi));
+  linalg::Matrix z = unwrap(markov::try_fundamental_matrix(p.to_dense(), pi));
   linalg::Matrix r = unwrap(markov::try_first_passage_times(z, pi));
   return markov::ChainAnalysis{p, std::move(pi), std::move(z), std::move(r)};
 }
@@ -90,6 +90,19 @@ inline linalg::Matrix random_direction(std::size_t n, util::Rng& rng) {
     for (std::size_t j = 0; j < n; ++j) v(i, j) -= mean;
   }
   return v;
+}
+
+/// The entries of dense `m` at `p`'s stored transitions: a direction or a
+/// gradient on P's pattern.
+inline linalg::SparseMatrix on_pattern(const markov::TransitionMatrix& p,
+                                       const linalg::Matrix& m) {
+  linalg::SparseMatrix out(p.csr().shared_pattern());
+  const auto& offsets = out.row_offsets();
+  const auto& cols = out.col_indices();
+  for (std::size_t i = 0; i < p.size(); ++i)
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+      out.values()[e] = m(i, cols[e]);
+  return out;
 }
 
 }  // namespace mocos::test

@@ -46,7 +46,7 @@ TEST(MetropolisKnn, AchievesTargetWithLocalMoves) {
   sensing::TravelModel model(topo, 1.0, 1.0, 0.25);
   sensing::CoverageTensors tensors(model);
   const std::vector<double> target{0.4, 0.1, 0.1, 0.4};
-  const auto p = metropolis_chain_knn(target, tensors.distances(), 1);
+  const auto p = metropolis_chain_knn(target, tensors.distances().to_dense(), 1);
   EXPECT_TRUE(markov::is_irreducible(p));
   const auto pi = test::unwrap(markov::try_stationary_distribution(p));
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(pi[i], target[i], 1e-9);
@@ -57,9 +57,9 @@ TEST(MetropolisKnn, RejectsBadK) {
   sensing::TravelModel model(topo, 1.0, 1.0, 0.25);
   sensing::CoverageTensors tensors(model);
   const std::vector<double> target{0.25, 0.25, 0.25, 0.25};
-  EXPECT_THROW(metropolis_chain_knn(target, tensors.distances(), 0),
+  EXPECT_THROW(metropolis_chain_knn(target, tensors.distances().to_dense(), 0),
                std::invalid_argument);
-  EXPECT_THROW(metropolis_chain_knn(target, tensors.distances(), 4),
+  EXPECT_THROW(metropolis_chain_knn(target, tensors.distances().to_dense(), 4),
                std::invalid_argument);
 }
 

@@ -82,7 +82,7 @@ TEST(ChainProperties, GeneratedChainsSatisfyPaperIdentities) {
     EXPECT_NEAR(mass, 1.0, 1e-12);
 
     // πP = π (stationarity, Eq. 5).
-    const linalg::Vector pi_p = linalg::mul(chain->pi, p.matrix());
+    const linalg::Vector pi_p = linalg::mul(chain->pi, p.to_dense());
     EXPECT_LE(max_abs_diff(pi_p, chain->pi), 1e-10);
 
     // R_ii = 1/π_i (mean return times, Eq. 8).
@@ -161,7 +161,7 @@ TEST(ChainProperties, MemoAnswersOnlyExactRepeats) {
       kAgreementTol);
 
   // A one-row change is a fresh solve, not an update of the memo.
-  linalg::Matrix m = start.matrix();
+  linalg::Matrix m = start.to_dense();
   m(1, 0) = 0.2;
   m(1, 1) = 0.5;
   m(1, 2) = 0.3;

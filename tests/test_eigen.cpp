@@ -71,7 +71,7 @@ TEST(Eigen, StochasticMatrixHasPerronEigenvalueOne) {
   util::Rng rng(6);
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
-    const auto eig = eigenvalues(p.matrix());
+    const auto eig = eigenvalues(p.to_dense());
     EXPECT_NEAR(std::abs(eig[0]), 1.0, 1e-9);
     EXPECT_NEAR(eig[0].real(), 1.0, 1e-9);
     for (std::size_t k = 1; k < eig.size(); ++k)
@@ -85,7 +85,7 @@ TEST(Eigen, ValidatesSlemEstimator) {
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
     const auto pi = test::unwrap(markov::try_stationary_distribution(p));
-    const Matrix deflated = p.matrix() - markov::stationary_rows(pi);
+    const Matrix deflated = p.to_dense() - markov::stationary_rows(pi);
     const double exact = eigenvalue_modulus(deflated, 0);
     // slem() is a repeated-squaring *estimator*; its error shrinks with the
     // λ2/λ3 separation, so allow a modest relative band.
@@ -94,7 +94,7 @@ TEST(Eigen, ValidatesSlemEstimator) {
 }
 
 TEST(Eigen, TwoStateChainClosedForm) {
-  const auto eig = eigenvalues(test::chain2(0.3, 0.2).matrix());
+  const auto eig = eigenvalues(test::chain2(0.3, 0.2).to_dense());
   ASSERT_EQ(eig.size(), 2u);
   EXPECT_NEAR(eig[0].real(), 1.0, 1e-10);
   EXPECT_NEAR(eig[1].real(), 0.5, 1e-10);

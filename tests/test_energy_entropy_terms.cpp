@@ -80,7 +80,7 @@ TEST(EnergyTerm, PartialsVanishAtTarget) {
 TEST(EntropyTerm, ValueIsMinusWeightedEntropyRate) {
   const auto chain = test::unwrap(markov::try_analyze_chain(test::chain3()));
   EntropyTerm term(2.0);
-  const double h = markov::entropy_rate(chain.p.matrix(), chain.pi);
+  const double h = markov::entropy_rate(chain.p, chain.pi);
   EXPECT_NEAR(term.value(chain), -2.0 * h, 1e-14);
 }
 

@@ -22,7 +22,7 @@ TEST(Entropy, DeterministicCycleHasZeroEntropy) {
   linalg::Matrix m{{0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}, {1.0, 0.0, 0.0}};
   const TransitionMatrix p(m);
   const linalg::Vector pi{1.0 / 3, 1.0 / 3, 1.0 / 3};
-  EXPECT_DOUBLE_EQ(entropy_rate(p.matrix(), pi), 0.0);
+  EXPECT_DOUBLE_EQ(entropy_rate(p, pi), 0.0);
 }
 
 TEST(Entropy, BetweenZeroAndMax) {
@@ -48,7 +48,7 @@ TEST(Entropy, TwoStateClosedForm) {
 
 TEST(Entropy, SizeMismatchThrows) {
   const auto p = test::chain3();
-  EXPECT_THROW(entropy_rate(p.matrix(), linalg::Vector{0.5, 0.5}),
+  EXPECT_THROW(entropy_rate(p, linalg::Vector{0.5, 0.5}),
                std::invalid_argument);
   EXPECT_THROW(max_entropy_rate(0), std::invalid_argument);
 }

@@ -142,8 +142,10 @@ markov::TransitionMatrix sparse_city_chain(std::size_t n, std::uint64_t seed) {
   cfg.seed = seed;
   const auto topo = geometry::city_topology(cfg);
   linalg::Matrix m =
-      descent::support_uniform_start(geometry::radius_neighbors(topo, 2.0))
-          .matrix();
+      descent::support_uniform_start(linalg::SparsityPattern::from_rows(
+                                         n, geometry::radius_neighbors(topo,
+                                                                       2.0)))
+          .to_dense();
   util::Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = 0.0;
@@ -168,7 +170,7 @@ double max_rel_gap(const linalg::Matrix& got, const linalg::Matrix& ref) {
 
 TEST(ExposureTerm, ClosedFormMatchesEq3OnSparseCity) {
   const auto p = sparse_city_chain(256, 11);
-  ASSERT_TRUE(markov::sparse_path_enabled(p.matrix()));
+  ASSERT_TRUE(markov::sparse_path_enabled(p.csr()));
   const auto full = test::unwrap(markov::try_analyze_chain(p));
   const auto pi_only = test::unwrap(markov::try_analyze_chain(
       p, markov::SolvePolicy::kAuto, markov::AnalysisLevel::kStationary));
@@ -185,9 +187,11 @@ linalg::Matrix eq3_projected_gradient(const markov::ChainAnalysis& full,
   Partials partials(full.p.size());
   test::eq3_accumulate_weighted_exposure_partials(full, g, partials);
   return project_row_sum_zero_on_support(
-      markov::chain_rule_gradient(full, partials.du_dpi, partials.du_dz,
-                                  partials.du_dp),
-      full.p.matrix());
+             markov::chain_rule_gradient(
+                 full, partials.du_dpi, partials.du_dz,
+                 test::on_pattern(full.p, partials.du_dp.to_dense())),
+             full.p)
+      .to_dense();
 }
 
 /// The π-only projected gradient of a one-term cost matches the reference
@@ -206,11 +210,13 @@ void expect_pi_only_gradient_matches_eq3(const markov::TransitionMatrix& p,
   for (double& x : g) x *= beta;
   const linalg::Matrix exposure_ref = eq3_projected_gradient(full, g);
   EXPECT_LE(max_rel_gap(projected_cost_gradient(exposure, solved.chain,
-                                                &*solved.resolvent),
+                                                &*solved.resolvent)
+                            .to_dense(),
                         exposure_ref),
             1e-10);
-  EXPECT_LE(max_rel_gap(projected_cost_gradient(exposure, solved.chain),
-                        exposure_ref),
+  EXPECT_LE(max_rel_gap(
+                projected_cost_gradient(exposure, solved.chain).to_dense(),
+                exposure_ref),
             1e-10);
 
   const MinimaxExposureTerm minimax_term(0.7, minimax_beta);
@@ -220,11 +226,13 @@ void expect_pi_only_gradient_matches_eq3(const markov::TransitionMatrix& p,
   for (double& x : sigma) x *= 0.7;
   const linalg::Matrix minimax_ref = eq3_projected_gradient(full, sigma);
   EXPECT_LE(max_rel_gap(projected_cost_gradient(minimax, solved.chain,
-                                                &*solved.resolvent),
+                                                &*solved.resolvent)
+                            .to_dense(),
                         minimax_ref),
             1e-10);
-  EXPECT_LE(max_rel_gap(projected_cost_gradient(minimax, solved.chain),
-                        minimax_ref),
+  EXPECT_LE(max_rel_gap(
+                projected_cost_gradient(minimax, solved.chain).to_dense(),
+                minimax_ref),
             1e-10);
 }
 

@@ -140,9 +140,9 @@ TEST_F(FaultInjectionTest, PoisonsGradientWithNaN) {
   u.add(std::make_unique<cost::BarrierTerm>(1e-4));
 
   ScopedFault guard(Site::kGradient, 0, 1);
-  const linalg::Matrix g = cost::cost_gradient(u, chain);
+  const linalg::SparseMatrix g = cost::cost_gradient(u, chain);
   EXPECT_TRUE(std::isnan(g(0, 0)));
-  const linalg::Matrix g2 = cost::cost_gradient(u, chain);  // window passed
+  const linalg::SparseMatrix g2 = cost::cost_gradient(u, chain);  // window passed
   EXPECT_FALSE(std::isnan(g2(0, 0)));
 }
 

@@ -13,8 +13,8 @@ TEST(Fundamental, DefinitionHolds) {
   const TransitionMatrix p = test::chain3();
   const auto pi = test::unwrap(try_stationary_distribution(p));
   const auto w = stationary_rows(pi);
-  const auto z = test::unwrap(try_fundamental_matrix(p.matrix(), pi));
-  const auto m = linalg::Matrix::identity(3) - p.matrix() + w;
+  const auto z = test::unwrap(try_fundamental_matrix(p.to_dense(), pi));
+  const auto m = linalg::Matrix::identity(3) - p.to_dense() + w;
   EXPECT_TRUE(linalg::approx_equal(z * m, linalg::Matrix::identity(3), 1e-11));
   EXPECT_TRUE(linalg::approx_equal(m * z, linalg::Matrix::identity(3), 1e-11));
 }
@@ -73,7 +73,7 @@ TEST_P(FundamentalPropertyTest, IdentitiesAcrossRandomChains) {
     const auto chain = test::unwrap(try_analyze_chain(p));
     const auto i = linalg::Matrix::identity(GetParam());
     const auto w = stationary_rows(chain.pi);
-    const auto m = i - p.matrix() + w;
+    const auto m = i - p.to_dense() + w;
     EXPECT_TRUE(linalg::approx_equal(chain.z * m, i, 1e-10));
     // WZ = W and ZW = W.
     EXPECT_TRUE(linalg::approx_equal(w * chain.z, w, 1e-10));

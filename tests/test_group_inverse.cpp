@@ -12,16 +12,16 @@ namespace {
 TEST(GroupInverse, SatisfiesAxiomsOnKnownChain) {
   const TransitionMatrix p = test::chain3();
   const auto pi = test::unwrap(try_stationary_distribution(p));
-  const auto a = linalg::Matrix::identity(3) - p.matrix();
-  const auto g = group_inverse(p.matrix(), pi);
+  const auto a = linalg::Matrix::identity(3) - p.to_dense();
+  const auto g = group_inverse(p.to_dense(), pi);
   EXPECT_TRUE(satisfies_group_inverse_axioms(a, g, 1e-10));
 }
 
 TEST(GroupInverse, PaperEq5WIsIMinusAAsharp) {
   const TransitionMatrix p = test::chain3();
   const auto chain = test::unwrap(try_analyze_chain(p));
-  const auto a = linalg::Matrix::identity(3) - p.matrix();
-  const auto g = group_inverse(p.matrix(), chain.pi);
+  const auto a = linalg::Matrix::identity(3) - p.to_dense();
+  const auto g = group_inverse(p.to_dense(), chain.pi);
   const auto w = linalg::Matrix::identity(3) - a * g;
   EXPECT_TRUE(linalg::approx_equal(w, stationary_rows(chain.pi), 1e-10));
 }
@@ -29,14 +29,14 @@ TEST(GroupInverse, PaperEq5WIsIMinusAAsharp) {
 TEST(GroupInverse, PaperEq7ZIsIPlusPAsharp) {
   const TransitionMatrix p = test::chain3();
   const auto chain = test::unwrap(try_analyze_chain(p));
-  const auto g = group_inverse(p.matrix(), chain.pi);
-  const auto z = linalg::Matrix::identity(3) + p.matrix() * g;
+  const auto g = group_inverse(p.to_dense(), chain.pi);
+  const auto z = linalg::Matrix::identity(3) + p.to_dense() * g;
   EXPECT_TRUE(linalg::approx_equal(z, chain.z, 1e-10));
 }
 
 TEST(GroupInverse, CheckerRejectsWrongCandidate) {
   const TransitionMatrix p = test::chain3();
-  const auto a = linalg::Matrix::identity(3) - p.matrix();
+  const auto a = linalg::Matrix::identity(3) - p.to_dense();
   EXPECT_FALSE(
       satisfies_group_inverse_axioms(a, linalg::Matrix::identity(3), 1e-10));
   EXPECT_FALSE(satisfies_group_inverse_axioms(a, linalg::Matrix(2, 2), 1e-10));
@@ -51,8 +51,8 @@ TEST_P(GroupInversePropertyTest, AxiomsAcrossRandomChains) {
     const auto p = test::random_positive_chain(GetParam(), rng);
     const auto pi = test::unwrap(try_stationary_distribution(p));
     const auto a =
-        linalg::Matrix::identity(GetParam()) - p.matrix();
-    const auto g = group_inverse(p.matrix(), pi);
+        linalg::Matrix::identity(GetParam()) - p.to_dense();
+    const auto g = group_inverse(p.to_dense(), pi);
     EXPECT_TRUE(satisfies_group_inverse_axioms(a, g, 1e-9));
     // A# A = I - W (projector complementary to the stationary direction).
     const auto w = stationary_rows(pi);

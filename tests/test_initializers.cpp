@@ -26,14 +26,14 @@ TEST(Initializers, RandomStartsDiffer) {
   util::Rng rng(8);
   const auto a = random_start(4, rng);
   const auto b = random_start(4, rng);
-  EXPECT_FALSE(linalg::approx_equal(a.matrix(), b.matrix(), 1e-6));
+  EXPECT_FALSE(linalg::approx_equal(a.to_dense(), b.to_dense(), 1e-6));
 }
 
 TEST(Initializers, BlendedStartInterpolates) {
   util::Rng rng(9);
   const auto b0 = blended_start(4, 0.0, rng);
-  EXPECT_TRUE(linalg::approx_equal(b0.matrix(),
-                                   uniform_start(4).matrix(), 1e-12));
+  EXPECT_TRUE(linalg::approx_equal(b0.to_dense(),
+                                   uniform_start(4).to_dense(), 1e-12));
   const auto b1 = blended_start(4, 0.5, rng);
   EXPECT_TRUE(markov::is_ergodic(b1));
   EXPECT_THROW(blended_start(4, 1.5, rng), std::invalid_argument);

@@ -70,7 +70,7 @@ TEST(Optimizer, ReproducibleFromSeed) {
   const auto a = CoverageOptimizer(problem, opts).run();
   const auto b = CoverageOptimizer(problem, opts).run();
   EXPECT_EQ(a.penalized_cost, b.penalized_cost);
-  EXPECT_TRUE(linalg::approx_equal(a.p.matrix(), b.p.matrix(), 0.0));
+  EXPECT_TRUE(linalg::approx_equal(a.p.to_dense(), b.p.to_dense(), 0.0));
 }
 
 TEST(Optimizer, ExplicitStartRespected) {
@@ -82,7 +82,7 @@ TEST(Optimizer, ExplicitStartRespected) {
   util::Rng rng(3);
   const auto start = test::random_positive_chain(4, rng);
   const auto outcome = CoverageOptimizer(problem, opts).run(start);
-  EXPECT_TRUE(linalg::approx_equal(outcome.p.matrix(), start.matrix(), 1e-3));
+  EXPECT_TRUE(linalg::approx_equal(outcome.p.to_dense(), start.to_dense(), 1e-3));
 }
 
 TEST(Optimizer, SummaryMentionsKeyNumbers) {

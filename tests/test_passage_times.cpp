@@ -45,7 +45,7 @@ TEST(PassageTimes, MatchesIndependentLinearSolve) {
   for (int t = 0; t < 10; ++t) {
     const auto p = test::random_positive_chain(5, rng);
     const auto chain = test::unwrap(try_analyze_chain(p));
-    const auto direct = first_passage_times_by_solve(p.matrix());
+    const auto direct = first_passage_times_by_solve(p.to_dense());
     EXPECT_TRUE(linalg::approx_equal(chain.r, direct, 1e-8));
   }
 }

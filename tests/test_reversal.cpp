@@ -24,7 +24,7 @@ TEST(Reversal, DoubleReversalIsIdentity) {
   util::Rng rng(2);
   const auto p = test::random_positive_chain(4, rng);
   const auto back = reversed_chain(reversed_chain(p));
-  EXPECT_TRUE(linalg::approx_equal(back.matrix(), p.matrix(), 1e-12));
+  EXPECT_TRUE(linalg::approx_equal(back.to_dense(), p.to_dense(), 1e-12));
 }
 
 TEST(Reversal, MetropolisChainsAreReversible) {
@@ -32,14 +32,14 @@ TEST(Reversal, MetropolisChainsAreReversible) {
   const auto p = baselines::metropolis_chain({0.4, 0.1, 0.1, 0.4});
   EXPECT_TRUE(is_reversible(p));
   EXPECT_TRUE(
-      linalg::approx_equal(reversed_chain(p).matrix(), p.matrix(), 1e-12));
+      linalg::approx_equal(reversed_chain(p).to_dense(), p.to_dense(), 1e-12));
 }
 
 TEST(Reversal, GenericChainsAreNot) {
   EXPECT_FALSE(is_reversible(test::chain3()));
   const auto rev = reversed_chain(test::chain3());
   EXPECT_FALSE(
-      linalg::approx_equal(rev.matrix(), test::chain3().matrix(), 1e-6));
+      linalg::approx_equal(rev.to_dense(), test::chain3().to_dense(), 1e-6));
 }
 
 TEST(Reversal, SymmetricChainsAreReversible) {

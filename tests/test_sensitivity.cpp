@@ -112,8 +112,9 @@ TEST(ChainRule, ReproducesDirectionalDerivative) {
       }
     }
 
-    const auto grad = chain_rule_gradient(chain, g_pi, g_z, g_p);
-    const double lhs = linalg::frobenius_dot(grad, v);
+    const auto grad = chain_rule_gradient(
+        chain, g_pi, g_z, linalg::SparseMatrix::from_dense(g_p));
+    const double lhs = linalg::frobenius_dot(grad.to_dense(), v);
 
     const auto dpi = stationary_directional_derivative(chain, v);
     const auto dz = fundamental_directional_derivative(chain, v);
@@ -126,7 +127,9 @@ TEST(ChainRule, ReproducesDirectionalDerivative) {
 TEST(ChainRule, SizeMismatchThrows) {
   const auto chain = test::unwrap(try_analyze_chain(test::chain3()));
   EXPECT_THROW(chain_rule_gradient(chain, linalg::Vector(2, 0.0),
-                                   linalg::Matrix(3, 3), linalg::Matrix(3, 3)),
+                                   linalg::Matrix(3, 3),
+                                   linalg::SparseMatrix(
+                                       linalg::SparsityPattern::full(3, 3))),
                std::invalid_argument);
 }
 

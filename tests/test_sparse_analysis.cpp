@@ -25,7 +25,8 @@ markov::TransitionMatrix city_chain(std::size_t n, std::uint64_t seed) {
   cfg.count = n;
   cfg.seed = seed;
   const auto topo = geometry::city_topology(cfg);
-  return descent::support_uniform_start(geometry::radius_neighbors(topo, 2.0));
+  return descent::support_uniform_start(linalg::SparsityPattern::from_rows(
+      n, geometry::radius_neighbors(topo, 2.0)));
 }
 
 double max_abs_gap(const linalg::Vector& a, const linalg::Vector& b) {
@@ -47,8 +48,8 @@ double max_rel_gap(const linalg::Matrix& a, const linalg::Matrix& b) {
 /// Whether the ladder serves `p` on its banded rung (else BiCGSTAB).
 bool banded_rung(const markov::TransitionMatrix& p) {
   const linalg::Vector c(p.size(), 1.0 / static_cast<double>(p.size()));
-  const auto csr = sparse::SparseMatrix::from_dense(p.matrix());
-  return test::unwrap(partition::SparseResolvent::try_factor(csr, c)).banded();
+  return test::unwrap(partition::SparseResolvent::try_factor(p.csr(), c))
+      .banded();
 }
 
 /// Factors `p` under kSparse with a metrics registry installed and returns
@@ -58,8 +59,7 @@ std::uint64_t sparse_fallbacks(const markov::TransitionMatrix& p) {
   obs::MetricsRegistry registry;
   {
     obs::ScopedMetrics install(&registry);
-    const linalg::Matrix& m = p.matrix();
-    const auto res = markov::Resolvent::try_factor(m, SolvePolicy::kSparse);
+    const auto res = markov::Resolvent::try_factor(p, SolvePolicy::kSparse);
     EXPECT_TRUE(res.ok() && res->sparse());
   }
   EXPECT_EQ(registry.counter("markov.sparse.solves").value(), 1u);
@@ -134,27 +134,27 @@ TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
 
 TEST(SparseMode, AutoGateRespectsSizeAndDensity) {
   // Small chains never take the sparse path under kAuto.
-  EXPECT_FALSE(markov::sparse_path_enabled(test::chain3().matrix()));
+  EXPECT_FALSE(markov::sparse_path_enabled(test::chain3().csr()));
   // A large sparse chain does...
   const auto big = city_chain(256, 4);
-  EXPECT_TRUE(markov::sparse_path_enabled(big.matrix()));
+  EXPECT_TRUE(markov::sparse_path_enabled(big.csr()));
   // ...but a large dense chain does not (density above the cutoff).
   util::Rng rng(5);
   const auto dense = test::random_positive_chain(200, rng);
-  EXPECT_FALSE(markov::sparse_path_enabled(dense.matrix()));
+  EXPECT_FALSE(markov::sparse_path_enabled(dense.csr()));
 
   // The policy argument is the only other input: kAuto defers to the gate,
   // kSparse forces the ladder down to the M >= 8 floor, and the dense and
   // power-iteration policies never route sparse.
   using markov::SolvePolicy;
-  EXPECT_TRUE(markov::routes_sparse(SolvePolicy::kAuto, big.matrix()));
-  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kAuto, dense.matrix()));
-  EXPECT_TRUE(markov::routes_sparse(SolvePolicy::kSparse, dense.matrix()));
+  EXPECT_TRUE(markov::routes_sparse(SolvePolicy::kAuto, big.csr()));
+  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kAuto, dense.csr()));
+  EXPECT_TRUE(markov::routes_sparse(SolvePolicy::kSparse, dense.csr()));
   EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kSparse,
-                                     test::chain2(0.3, 0.4).matrix()));
-  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kDense, big.matrix()));
+                                     test::chain2(0.3, 0.4).csr()));
+  EXPECT_FALSE(markov::routes_sparse(SolvePolicy::kDense, big.csr()));
   EXPECT_FALSE(
-      markov::routes_sparse(SolvePolicy::kPowerIteration, big.matrix()));
+      markov::routes_sparse(SolvePolicy::kPowerIteration, big.csr()));
 }
 
 TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
@@ -176,8 +176,10 @@ TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
     }
     return m;
   };
-  EXPECT_FALSE(markov::sparse_path_enabled(ring(191)));
-  EXPECT_TRUE(markov::sparse_path_enabled(ring(192)));
+  EXPECT_FALSE(markov::sparse_path_enabled(
+      linalg::SparseMatrix::from_dense(ring(191))));
+  EXPECT_TRUE(markov::sparse_path_enabled(
+      linalg::SparseMatrix::from_dense(ring(192))));
 
   // Density boundary at M = 192: exactly 25% nonzeros still qualifies; one
   // extra nonzero tips the chain back to the dense pipeline.
@@ -187,9 +189,11 @@ TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t k = 0; k < row_quota; ++k)
       m(i, (i + k) % n) = 1.0 / static_cast<double>(row_quota);
-  EXPECT_TRUE(markov::sparse_path_enabled(m));
+  EXPECT_TRUE(
+      markov::sparse_path_enabled(linalg::SparseMatrix::from_dense(m)));
   m(0, row_quota) = 1e-12;  // 25% + one entry
-  EXPECT_FALSE(markov::sparse_path_enabled(m));
+  EXPECT_FALSE(
+      markov::sparse_path_enabled(linalg::SparseMatrix::from_dense(m)));
 }
 
 TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
@@ -197,7 +201,7 @@ TEST(SparseResolvent, ParityHoldsAtBlockLevel) {
   // Kemeny–Snell pipeline to 1e-10, at the start chain and along a walk of
   // support-preserving row perturbations.
   const auto start = city_chain(64, 6);
-  linalg::Matrix m = start.matrix();
+  linalg::Matrix m = start.to_dense();
   util::Rng rng(77);
   for (int step = 0; step < 6; ++step) {
     const markov::TransitionMatrix p(m);
@@ -250,7 +254,7 @@ TEST(SparseResolvent, ResidualGateRejectsPerturbedPi) {
   // The gate accepts the dense π and rejects it moved by 1e-9 between two
   // PoIs (unit mass kept), far outside the 1e-12 fixed-point tolerance.
   const auto p = city_chain(256, 4);
-  const auto csr = sparse::SparseMatrix::from_dense(p.matrix());
+  const linalg::SparseMatrix& csr = p.csr();
   linalg::Vector pi = test::unwrap(
       markov::try_stationary_distribution(p, markov::SolvePolicy::kDense));
   EXPECT_TRUE(markov::check_stationary_residual(csr, pi).is_ok());

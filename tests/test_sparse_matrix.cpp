@@ -1,4 +1,4 @@
-#include "src/sparse/sparse_matrix.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
-namespace mocos::sparse {
+namespace mocos::linalg {
 namespace {
 
 linalg::Matrix random_sparse_dense(std::size_t n, double density,
@@ -109,4 +109,4 @@ TEST(SparseMatrix, AtReturnsZeroForMissingEntries) {
 }
 
 }  // namespace
-}  // namespace mocos::sparse
+}  // namespace mocos::linalg

@@ -15,6 +15,8 @@
 namespace mocos::sparse {
 namespace {
 
+using linalg::SparseMatrix;
+
 // Sparse ergodic ring-with-shortcuts chain: banded structure (bandwidth 2)
 // plus the wraparound, strictly substochastic off-diagonal so the chain is
 // irreducible and aperiodic.
@@ -41,11 +43,11 @@ linalg::Matrix dense_resolvent_system(const linalg::Matrix& p,
 
 TEST(ResolventOperator, ApplyMatchesDenseSystem) {
   const markov::TransitionMatrix p = ring_chain(13);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   const std::size_t n = 13;
   linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
   const ResolventOperator op{&sp, u, c};
-  const linalg::Matrix a = dense_resolvent_system(p.matrix(), u, c);
+  const linalg::Matrix a = dense_resolvent_system(p.to_dense(), u, c);
 
   util::Rng rng(5);
   linalg::Vector x(n);
@@ -69,10 +71,10 @@ TEST(ResolventOperator, ApplyMatchesDenseSystem) {
 TEST(ResolventSolver, BicgstabMatchesDirectSolve) {
   const std::size_t n = 24;
   const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
   const ResolventOperator op{&sp, u, c};
-  const linalg::Matrix a = dense_resolvent_system(p.matrix(), u, c);
+  const linalg::Matrix a = dense_resolvent_system(p.to_dense(), u, c);
 
   util::Rng rng(17);
   for (int t = 0; t < 3; ++t) {
@@ -91,10 +93,10 @@ TEST(ResolventSolver, BicgstabMatchesDirectSolve) {
 TEST(ResolventSolver, TransposeSolveMatchesDense) {
   const std::size_t n = 16;
   const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
   const ResolventOperator op{&sp, u, c};
-  linalg::Matrix a = dense_resolvent_system(p.matrix(), u, c);
+  linalg::Matrix a = dense_resolvent_system(p.to_dense(), u, c);
   // Transpose the dense system for the reference solve.
   linalg::Matrix at(n, n);
   for (std::size_t i = 0; i < n; ++i)
@@ -113,7 +115,7 @@ TEST(ResolventSolver, TransposeSolveMatchesDense) {
 TEST(ResolventSolver, ReportsDeterministicResults) {
   const std::size_t n = 20;
   const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
   const ResolventOperator op{&sp, u, c};
   linalg::Vector b(n, 0.0);
@@ -136,13 +138,13 @@ TEST(BandedResolventLu, MatchesDenseAnchoredSolve) {
     if (!first) m(i, i - 1) = last ? 0.5 : 0.25;
   }
   const markov::TransitionMatrix p(m);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   linalg::Vector c(n, 1.0 / static_cast<double>(n));
   auto lu = BandedResolventLu::try_factor(sp, c, 1);
   ASSERT_TRUE(lu.ok()) << lu.status().message();
 
   // Dense reference: B = I - P + e_{n-1} c^T.
-  linalg::Matrix b = linalg::Matrix::identity(n) - p.matrix();
+  linalg::Matrix b = linalg::Matrix::identity(n) - p.to_dense();
   for (std::size_t j = 0; j < n; ++j) b(n - 1, j) += c[j];
 
   util::Rng rng(41);
@@ -173,12 +175,12 @@ TEST(BandedResolventLu, TransposedSolveMatchesDenseAndYieldsPi) {
     for (std::size_t j = 0; j < n; ++j) m(i, j) /= sum;
   }
   const markov::TransitionMatrix p(m);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   linalg::Vector c(n, 1.0 / static_cast<double>(n));
   auto lu = BandedResolventLu::try_factor(sp, c, 2);
   ASSERT_TRUE(lu.ok()) << lu.status().message();
 
-  linalg::Matrix b = linalg::Matrix::identity(n) - p.matrix();
+  linalg::Matrix b = linalg::Matrix::identity(n) - p.to_dense();
   for (std::size_t j = 0; j < n; ++j) b(n - 1, j) += c[j];
   linalg::Vector rhs(n);
   for (double& v : rhs) v = rng.uniform(-1.0, 1.0);
@@ -200,7 +202,7 @@ TEST(BandedResolventLu, TransposedSolveMatchesDenseAndYieldsPi) {
 
 TEST(BandedResolventLu, RejectsEntriesOutsideTheBand) {
   const markov::TransitionMatrix p = ring_chain(12);  // wraparound: |i-j| = 11
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
+  const SparseMatrix sp = SparseMatrix::from_dense(p.to_dense());
   linalg::Vector c(12, 1.0 / 12.0);
   const auto lu = BandedResolventLu::try_factor(sp, c, 2);
   ASSERT_FALSE(lu.ok());

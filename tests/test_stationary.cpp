@@ -26,7 +26,7 @@ TEST(Stationary, UniformChainIsUniform) {
 TEST(Stationary, SatisfiesFixedPointEquation) {
   const TransitionMatrix p = test::chain3();
   const auto pi = test::unwrap(try_stationary_distribution(p));
-  const auto pi_p = linalg::mul(pi, p.matrix());
+  const auto pi_p = linalg::mul(pi, p.to_dense());
   EXPECT_TRUE(linalg::approx_equal(pi, pi_p, 1e-12));
 }
 
@@ -141,7 +141,7 @@ TEST_P(StationarySizeTest, FixedPointAcrossSizes) {
   const auto p = test::random_positive_chain(GetParam(), rng);
   const auto pi = test::unwrap(try_stationary_distribution(p));
   EXPECT_TRUE(
-      linalg::approx_equal(pi, linalg::mul(pi, p.matrix()), 1e-11));
+      linalg::approx_equal(pi, linalg::mul(pi, p.to_dense()), 1e-11));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, StationarySizeTest,

@@ -38,7 +38,7 @@ TEST(ApplyStep, PreservesStochasticity) {
   util::Rng rng(1);
   const auto p = test::random_positive_chain(4, rng);
   const auto v = test::random_direction(4, rng);
-  const auto q = apply_step(p, v, 0.01, 1e-12);
+  const auto q = apply_step(p, test::on_pattern(p, v), 0.01, 1e-12);
   for (std::size_t i = 0; i < 4; ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < 4; ++j) {
@@ -53,15 +53,16 @@ TEST(ApplyStep, ZeroStepIsIdentity) {
   util::Rng rng(2);
   const auto p = test::random_positive_chain(3, rng);
   const auto v = test::random_direction(3, rng);
-  EXPECT_TRUE(
-      linalg::approx_equal(apply_step(p, v, 0.0, 1e-12).matrix(), p.matrix(),
-                           1e-15));
+  EXPECT_TRUE(linalg::approx_equal(
+      apply_step(p, test::on_pattern(p, v), 0.0, 1e-12).to_dense(),
+      p.to_dense(), 1e-15));
 }
 
 TEST(ApplyStep, ClampsAtMargin) {
   const auto p = markov::TransitionMatrix::uniform(2);
   linalg::Matrix v{{-1.0, 1.0}, {0.0, 0.0}};
-  const auto q = apply_step(p, v, 10.0, 0.01);  // would overshoot hard
+  const auto q = apply_step(p, test::on_pattern(p, v), 10.0,
+                            0.01);  // would overshoot hard
   EXPECT_GE(q(0, 0), 0.009);
   EXPECT_LE(q(0, 1), 0.991);
 }

@@ -63,8 +63,8 @@ TEST(TeamOptimizer, ResidualRoundsDiversifyChains) {
   const auto problem = test::paper_problem(2, 1.0, 0.0);
   const auto team = optimize_team(problem, quick_options(2, 2));
   // After residual rounds the two chains should not be (near-)identical.
-  EXPECT_FALSE(linalg::approx_equal(team.chain(0).matrix(),
-                                    team.chain(1).matrix(), 1e-3));
+  EXPECT_FALSE(linalg::approx_equal(team.chain(0).to_dense(),
+                                    team.chain(1).to_dense(), 1e-3));
 }
 
 TEST(TeamOptimizer, ResidualRoundsRejectCustomMotionModels) {
