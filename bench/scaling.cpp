@@ -54,8 +54,9 @@ int main() {
                                          outcome.metrics.e_bar});
   }
   t.print(std::cout);
-  std::cout << "expected: per-iteration time grows polynomially in M "
-               "(roughly M^3-M^4); absolute times stay laptop-friendly "
-               "through M=16\n";
+  std::cout << "expected: per-iteration time grows at most like M^3 (one "
+               "dense LU per probe below M = 192; the steps, the gradient "
+               "and the cost terms are O(M^2) on the full pattern); "
+               "absolute times stay laptop-friendly through M=16\n";
   return 0;
 }

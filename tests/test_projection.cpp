@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.hpp"
+#include "tests/helpers.hpp"
 
 namespace mocos::cost {
 namespace {
@@ -57,6 +58,29 @@ TEST(Projection, NonExpansive) {
   const auto a = random_matrix(6, rng);
   const auto p = project_row_sum_zero(a);
   EXPECT_LE(linalg::frobenius_dot(p, p), linalg::frobenius_dot(a, a) + 1e-12);
+}
+
+TEST(Projection, OnPatternIsTheDenseFormulaOnAFullPattern) {
+  // On a strictly positive P the descent's projection over P's pattern is
+  // Eq. 11 bit for bit: the same sums in the same order, the same divisor.
+  util::Rng rng(23);
+  for (int t = 0; t < 10; ++t) {
+    const auto p = test::random_positive_chain(5, rng);
+    const auto g = random_matrix(5, rng);
+    EXPECT_EQ(project_row_sum_zero_on_support(test::on_pattern(p, g), p)
+                  .to_dense(),
+              project_row_sum_zero(g));
+  }
+  // On a support, each row's mean runs over its stored entries only and
+  // nothing is stored off the pattern.
+  const markov::TransitionMatrix q(linalg::Matrix{
+      {0.5, 0.5, 0.0}, {0.25, 0.5, 0.25}, {0.0, 0.5, 0.5}});
+  const linalg::Matrix g{{1.0, 2.0, 3.0}, {1.0, 2.0, 3.0}, {1.0, 2.0, 3.0}};
+  const auto proj = project_row_sum_zero_on_support(test::on_pattern(q, g), q);
+  EXPECT_EQ(proj.nnz(), 7u);
+  EXPECT_EQ(proj.to_dense(), (linalg::Matrix{{-0.5, 0.5, 0.0},
+                                             {-1.0, 0.0, 1.0},
+                                             {0.0, -0.5, 0.5}}));
 }
 
 TEST(MaxAbsRowSum, ComputesCorrectly) {
