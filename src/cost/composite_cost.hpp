@@ -37,8 +37,9 @@ class CompositeCost {
   Partials partials(const markov::ChainAnalysis& chain) const;
 
   /// As partials(), but clears and refills a caller-owned buffer (which must
-  /// match the chain's size) — no per-probe allocations in gradient loops.
-  /// A buffer built without ∂U/∂Z serves a cost that does not need Z.
+  /// match the chain's size, with ∂U/∂P on chain.p's pattern) — no
+  /// per-probe allocations in gradient loops. A buffer built without ∂U/∂Z
+  /// serves a cost that does not need Z.
   void partials_into(const markov::ChainAnalysis& chain, Partials& out) const;
 
   /// Per-term breakdown, for reporting.
