@@ -22,7 +22,8 @@ namespace mocos::runtime {
 class ThreadPool {
  public:
   /// Spawns `threads` workers. `threads == 0` uses the hardware concurrency
-  /// (at least 1).
+  /// (at least 1). When `threads` equals the number of CPUs in the
+  /// process's affinity mask, each worker is pinned to its own CPU (Linux).
   explicit ThreadPool(std::size_t threads);
 
   /// Drains nothing: outstanding tasks still run, but new submissions are
