@@ -1,34 +1,57 @@
 #include "src/core/serialization.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "src/util/status.hpp"
 
 namespace mocos::core {
 
 namespace {
-constexpr const char* kHeader = "mocos-schedule v1";
-}
 
-std::string serialize_schedule(const markov::TransitionMatrix& p) {
+constexpr const char* kHeader = "mocos-schedule v1";
+
+/// The schedule text, handed to `write(std::string_view)` in pieces: the
+/// header, then each row as soon as it is formatted. serialize_schedule and
+/// save_schedule both print through it, so the file and the string hold the
+/// same bytes, and the file path never holds more than one row of text.
+template <class Write>
+void format_schedule(const markov::TransitionMatrix& p, Write&& write) {
   const std::size_t n = p.size();
-  std::string out =
-      std::string(kHeader) + "\npois " + std::to_string(n) + '\n';
+  write(std::string(kHeader) + "\npois " + std::to_string(n) + '\n');
+  const auto& offsets = p.csr().row_offsets();
+  const auto& cols = p.csr().col_indices();
+  const std::vector<double>& values = p.csr().values();
+  std::vector<double> row(n);
+  std::string line;
   // %.17g (max_digits10 significant digits) per entry, which is what the
   // stream form `setprecision(17) << x` prints, without a stream per value.
   char buf[32];
   for (std::size_t i = 0; i < n; ++i) {
-    const linalg::Vector row = p.row(i);
+    std::fill(row.begin(), row.end(), 0.0);
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+      row[cols[e]] = values[e];
+    line.clear();
     for (std::size_t j = 0; j < n; ++j) {
       const std::to_chars_result r = std::to_chars(
           buf, buf + sizeof buf, row[j], std::chars_format::general, 17);
-      out.append(buf, r.ptr);
-      out += j + 1 < n ? ' ' : '\n';
+      line.append(buf, r.ptr);
+      line += j + 1 < n ? ' ' : '\n';
     }
+    write(line);
   }
+}
+
+}  // namespace
+
+std::string serialize_schedule(const markov::TransitionMatrix& p) {
+  std::string out;
+  format_schedule(p, [&out](std::string_view piece) { out += piece; });
   return out;
 }
 
@@ -63,7 +86,10 @@ void save_schedule(const std::string& path,
                    const markov::TransitionMatrix& p) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("save_schedule: cannot write " + path);
-  out << serialize_schedule(p);
+  format_schedule(p, [&out](std::string_view piece) {
+    out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  });
+  out.close();
   if (!out) throw std::runtime_error("save_schedule: write failed " + path);
 }
 

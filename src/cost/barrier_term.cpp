@@ -55,6 +55,9 @@ double BarrierTerm::value(const markov::ChainAnalysis& chain) const {
     // zero on a dense chain.
     // mocos-lint: allow(float-eq)
     if (p == 0.0) continue;
+    // Inside (ε, 1 − ε) both pieces are gated off: entry_value is +0.0 and
+    // u (never −0.0) would not change, so skip the add.
+    if (p > epsilon_ && p < 1.0 - epsilon_) continue;
     u += entry_value(p);
     if (std::isinf(u)) return u;
   }

@@ -29,19 +29,24 @@ CoverageDeviationTerm::CoverageDeviationTerm(
 
 linalg::Vector CoverageDeviationTerm::discrepancies(
     const markov::ChainAnalysis& chain) const {
-  const std::size_t n = chain.p.size();
-  const sensing::CoverageSums sums =
-      sensing::coverage_sums(entries_, durations_, chain.pi, chain.p.csr());
-  linalg::Vector g(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    g[i] = sums.covered[i] - targets_[i] * sums.expected;
+  linalg::Vector g(chain.p.size(), 0.0);
+  sensing::visit_coverage_sums(
+      entries_, durations_, chain.pi, chain.p.csr(),
+      [&](std::size_t i, double covered, double expected) {
+        g[i] = covered - targets_[i] * expected;
+      });
   return g;
 }
 
 double CoverageDeviationTerm::value(const markov::ChainAnalysis& chain) const {
-  const linalg::Vector g = discrepancies(chain);
+  // The discrepancies' own traversal, each g_i folded in as it comes.
   double u = 0.0;
-  for (std::size_t i = 0; i < g.size(); ++i) u += 0.5 * alphas_[i] * g[i] * g[i];
+  sensing::visit_coverage_sums(
+      entries_, durations_, chain.pi, chain.p.csr(),
+      [&](std::size_t i, double covered, double expected) {
+        const double g = covered - targets_[i] * expected;
+        u += 0.5 * alphas_[i] * g * g;
+      });
   return u;
 }
 

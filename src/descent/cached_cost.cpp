@@ -19,19 +19,22 @@ util::Status CachedCostEvaluator::refresh(const markov::TransitionMatrix& p) {
   // Exact equality, pattern first (the same object on a descent, so O(1))
   // and then every stored value: the memo answers only a bit-identical
   // repeat.
-  if (memo_ && memo_->chain.p == p) {
+  if (memo_valid_ && memo_->chain.p == p) {
     ++stats_.exact_hits;
     return util::Status::ok();
   }
-  memo_.reset();
-  util::StatusOr<markov::ResolventAnalysis> solved =
-      markov::try_resolvent_analysis(p, markov::SolvePolicy::kAuto, level_);
-  if (!solved.ok()) return solved.status();
+  memo_valid_ = false;
+  if (!memo_)
+    memo_.emplace(markov::ResolventAnalysis{
+        markov::ChainAnalysis{p, {}, {}, {}}, false, std::nullopt});
+  util::Status solved = markov::try_resolvent_analysis_into(
+      p, markov::SolvePolicy::kAuto, level_, *memo_);
+  if (!solved.is_ok()) return solved;
+  memo_valid_ = true;
   ++stats_.full_solves;
-  if (solved->sparse) ++stats_.sparse_full_solves;
-  if (solved->chain.level() == markov::AnalysisLevel::kFundamental)
+  if (memo_->sparse) ++stats_.sparse_full_solves;
+  if (memo_->chain.level() == markov::AnalysisLevel::kFundamental)
     ++stats_.fundamental_solves;
-  memo_.emplace(std::move(*solved));
   return util::Status::ok();
 }
 

@@ -12,11 +12,13 @@ namespace mocos::descent {
 /// Cost/analysis evaluator shared by the deterministic and perturbed descent
 /// drivers. Every probe — gradient evaluations, line-search φ(t) samples,
 /// candidate acceptance checks — goes through one evaluator, which solves
-/// the chain with markov::try_resolvent_analysis and keeps the last
+/// the chain with markov::try_resolvent_analysis_into and keeps the last
 /// analysis as a one-entry memo: a probe of exactly the P just analyzed (an
 /// accepted step's gradient re-analyzing the line search's final probe)
 /// costs no solve. A descent step moves every row of P, so anything but an
-/// exact repeat is a fresh solve.
+/// exact repeat is a fresh solve, which refills the memo's one slot in place
+/// (its copy of P, π and factorization keep their storage), so no second
+/// analysis is ever alive.
 ///
 /// The evaluator picks the analysis level once, from the cost: π alone
 /// (one factorization plus one solve per probe) unless a term declares
@@ -55,12 +57,15 @@ class CachedCostEvaluator {
 
  private:
   /// The analysis of `p`: the memo when it holds exactly `p`, else a fresh
-  /// resolvent solve that replaces it (a failed solve empties it).
+  /// resolvent solve that refills it in place (a failed solve empties it).
   [[nodiscard]] util::Status refresh(const markov::TransitionMatrix& p);
 
   const cost::CompositeCost& cost_;
   const markov::AnalysisLevel level_;  // what the cost's terms read
+  /// The memo's one slot: created by the first solve, refilled by each
+  /// later one, and holding an analysis only while memo_valid_.
   std::optional<markov::ResolventAnalysis> memo_;
+  bool memo_valid_ = false;
   std::optional<markov::ResolventAnalysis> fallback_;  // off-default route
   const markov::ResolventAnalysis* analyzed_ = nullptr;  // last analyze()
   markov::ChainSolveStats stats_;

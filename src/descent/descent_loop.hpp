@@ -77,6 +77,7 @@ class DescentLoop {
                 Trace{}, RecoveryLog{},
                 markov::ChainSolveStats{}},
         last_good_(start),
+        candidate_(start),
         span_(run_name(), "descent"),
         phase_(run_name()) {
     obs::count(driver == Driver::kSteepest ? "descent.runs"
@@ -173,6 +174,14 @@ class DescentLoop {
   /// U_ε of a probe, through the run's evaluator.
   double cost_at(const markov::TransitionMatrix& p) {
     return evaluator_.cost_at(p);
+  }
+  /// cost_at(stepped(direction, t)), bit for bit, without its allocations:
+  /// the step lands in one candidate matrix the loop reuses for every
+  /// probe, and the evaluator refills its memo in place. The line searches'
+  /// φ(t).
+  double probe(const linalg::SparseMatrix& direction, double t) {
+    apply_step_into(result_.p, direction, t, margin_, candidate_);
+    return evaluator_.cost_at(candidate_);
   }
   /// Passes begun, failed and pinned ones included (not a cancelled one).
   std::size_t passes() const { return passes_; }
@@ -279,6 +288,7 @@ class DescentLoop {
   CachedCostEvaluator evaluator_;
   DescentResult result_;
   markov::TransitionMatrix last_good_;
+  markov::TransitionMatrix candidate_;  // probe()'s reused step target
   markov::SolvePolicy policy_ = markov::SolvePolicy::kAuto;
   double margin_ = kProbabilityMargin;
   double step_scale_ = 1.0;

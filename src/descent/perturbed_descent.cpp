@@ -63,7 +63,7 @@ PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
       // profile, as in the steepest driver.
       obs::ScopedPhase line_search_phase("line_search");
       const LineSearchResult ls = trisection_search(
-          [&](double t) { return loop.cost_at(loop.stepped(direction, t)); },
+          [&](double t) { return loop.probe(direction, t); },
           loop.cost(), max_step);
       pass.probes = ls.evaluations;
       pass.step = ls.step;

@@ -58,32 +58,42 @@ double safe_cost(const cost::CompositeCost& cost,
 markov::TransitionMatrix apply_step(const markov::TransitionMatrix& p,
                                     const linalg::SparseMatrix& v, double t,
                                     double margin) {
+  markov::TransitionMatrix out = p;
+  apply_step_into(p, v, t, margin, out);
+  return out;
+}
+
+void apply_step_into(const markov::TransitionMatrix& p,
+                     const linalg::SparseMatrix& v, double t, double margin,
+                     markov::TransitionMatrix& out) {
   if (!v.shared_pattern() || !(v.pattern() == p.pattern()))
     throw std::invalid_argument("apply_step: V is not on P's pattern");
-  const linalg::SparseMatrix& from = p.csr();
-  linalg::SparseMatrix m(from.shared_pattern());
-  const auto& offsets = from.row_offsets();
-  const std::vector<double>& pv = from.values();
+  if (out.csr().shared_pattern() != p.csr().shared_pattern()) out = p;
+  const auto& offsets = p.csr().row_offsets();
+  const std::vector<double>& pv = p.csr().values();
   const std::vector<double>& vv = v.values();
-  std::vector<double>& out = m.values();
-  for (std::size_t i = 0; i < p.size(); ++i) {
+  out.refill_rows([&](std::size_t i, double* row) {
+    const std::size_t begin = offsets[i];
+    const std::size_t len = offsets[i + 1] - begin;
     double row_sum = 0.0;
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t e = begin + k;
       // An explicit zero on the pattern stays exactly zero: the projection
       // gives it a zero direction, and clamping it up to `margin` would
       // reopen a transition the chain had closed.
       // mocos-lint: allow(float-eq)
-      if (pv[e] == 0.0 && vv[e] == 0.0) continue;
+      if (pv[e] == 0.0 && vv[e] == 0.0) {
+        row[k] = 0.0;
+        continue;
+      }
       const double x = std::clamp(pv[e] + t * vv[e], margin, 1.0 - margin);
-      out[e] = x;
+      row[k] = x;
       row_sum += x;
     }
     // The direction is row-sum-zero, so row_sum ≈ 1 up to clamping;
     // renormalize exactly.
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-      out[e] /= row_sum;
-  }
-  return markov::TransitionMatrix(std::move(m));
+    for (std::size_t k = 0; k < len; ++k) row[k] /= row_sum;
+  });
 }
 
 SteepestDescent::SteepestDescent(const cost::CompositeCost& cost,
@@ -154,7 +164,7 @@ DescentResult SteepestDescent::run(
         }
       } else {
         const LineSearchResult ls = trisection_search(
-            [&](double t) { return loop.cost_at(loop.stepped(direction, t)); },
+            [&](double t) { return loop.probe(direction, t); },
             loop.cost(), max_step);
         pass.step = ls.step;
         pass.probes = ls.evaluations;

@@ -103,4 +103,12 @@ markov::TransitionMatrix apply_step(const markov::TransitionMatrix& p,
                                     const linalg::SparseMatrix& v, double t,
                                     double margin);
 
+/// apply_step into a caller-owned matrix, bit for bit: `out` takes P's
+/// pattern object (a copy of `p` when it is on another one) and each row is
+/// stepped, renormalized and validated before the next, so reusing `out`
+/// costs no allocation. std::invalid_argument as apply_step.
+void apply_step_into(const markov::TransitionMatrix& p,
+                     const linalg::SparseMatrix& v, double t, double margin,
+                     markov::TransitionMatrix& out);
+
 }  // namespace mocos::descent

@@ -26,9 +26,13 @@ struct LuDiagnostics {
 /// This is the workhorse behind the fundamental-matrix inversion
 /// Z = (I - P + W)^(-1) and all linear solves in the library. Factor once,
 /// then solve against many right-hand sides (each column of the identity for
-/// an explicit inverse).
+/// an explicit inverse). The elimination and the triangular solves run over
+/// row pointers into the packed factors.
 class LuDecomposition {
  public:
+  /// An empty decomposition (size 0): the slot try_refactor() fills.
+  LuDecomposition() = default;
+
   /// Factors `a` (must be square). Throws std::invalid_argument for
   /// non-square input and std::runtime_error if the matrix is singular to
   /// working precision.
@@ -40,15 +44,28 @@ class LuDecomposition {
   /// decomposition exposes diagnostics() either way a caller obtains it.
   [[nodiscard]] static util::StatusOr<LuDecomposition> try_factor(Matrix a);
 
+  /// The in-place form of try_factor: `fill(a)` writes the n×n matrix to
+  /// factor, row-major, into `a`, which is this decomposition's own storage
+  /// (its allocation kept whenever it is large enough), and the factors
+  /// replace it there. Returns try_factor's statuses; after a failure the
+  /// decomposition holds no usable factors until the next success.
+  template <class Fill>
+  [[nodiscard]] util::Status try_refactor(std::size_t n, Fill&& fill) {
+    lu_.resize(n, n);
+    fill(lu_.data());
+    return factor();
+  }
+
   std::size_t size() const { return lu_.rows(); }
 
   /// Pivot magnitudes and the condition-number proxy observed while
   /// factoring.
   const LuDiagnostics& diagnostics() const { return diag_; }
 
-  /// ||A||_1 · ||A^-1||_1, computed on demand (n triangular solves). The
-  /// exact 1-norm condition number — use in tests and offline diagnostics,
-  /// not per-iteration hot paths.
+  /// ||A||_1 · ||A^-1||_1, computed on demand from the factors (||A||_1 from
+  /// the product LU, ||A^-1||_1 from n triangular solves). The exact 1-norm
+  /// condition number — use in tests and offline diagnostics, not
+  /// per-iteration hot paths.
   [[nodiscard]] double condition_number_1norm() const;
 
   /// Solves A x = b.
@@ -57,6 +74,11 @@ class LuDecomposition {
   /// Solves Aᵀ x = b with the same factors (Uᵀ, then Lᵀ, then the row
   /// permutation undone), so one factorization serves both sides.
   [[nodiscard]] Vector solve_transposed(const Vector& b) const;
+
+  /// solve_transposed() into caller-owned buffers: `x` receives the
+  /// solution and `work` is scratch, each resized to size() (no allocation
+  /// once they are that large). Neither may alias `b`.
+  void solve_transposed_into(const Vector& b, Vector& x, Vector& work) const;
 
   /// Solves A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
@@ -68,16 +90,13 @@ class LuDecomposition {
   [[nodiscard]] double determinant() const;
 
  private:
-  LuDecomposition() = default;  // for try_factor
-
-  /// Shared in-place factorization; fills diag_ and returns a non-ok status
-  /// instead of throwing. `a_norm1` is ||A||_1 captured before the rewrite.
+  /// Factors lu_ in place; fills diag_ and returns a non-ok status instead
+  /// of throwing.
   util::Status factor();
 
   Matrix lu_;                      // packed L (unit diagonal) and U
   std::vector<std::size_t> perm_;  // row permutation
   int pivot_sign_ = 1;
-  double a_norm1_ = 0.0;  // ||A||_1 of the original matrix
   LuDiagnostics diag_;
 };
 

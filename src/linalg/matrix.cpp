@@ -42,14 +42,8 @@ Matrix Matrix::outer(const Vector& col, const Vector& row) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::operator()");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::operator()");
-  return data_[r * cols_ + c];
+void Matrix::throw_index_out_of_range() {
+  throw std::out_of_range("Matrix::operator()");
 }
 
 Vector Matrix::row(std::size_t r) const {

@@ -35,8 +35,27 @@ class Matrix {
   bool empty() const { return data_.empty(); }
   bool is_square() const { return rows_ == cols_; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Entry (r, c); std::out_of_range past the shape. Inline, so a loop over
+  /// entries costs its arithmetic plus one predictable compare per access.
+  double& operator()(std::size_t r, std::size_t c) {
+    if (r >= rows_ || c >= cols_) [[unlikely]]
+      throw_index_out_of_range();
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) [[unlikely]]
+      throw_index_out_of_range();
+    return data_[r * cols_ + c];
+  }
+
+  /// Reshapes to rows × cols, keeping the allocation whenever it is large
+  /// enough. The entries are unspecified afterwards: a caller that reuses
+  /// the storage (LuDecomposition::try_refactor) writes every one of them.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
 
   /// Raw storage access for tight loops (row-major).
   double* data() { return data_.data(); }
@@ -64,6 +83,9 @@ class Matrix {
   std::string to_string(int precision = 6) const;
 
  private:
+  /// The out-of-range throw, kept out of line and off the hot path.
+  [[noreturn, gnu::cold]] static void throw_index_out_of_range();
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

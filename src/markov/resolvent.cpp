@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <utility>
+#include <vector>
 
 #include "src/linalg/guard.hpp"
 #include "src/markov/passage_times.hpp"
@@ -16,22 +17,30 @@ namespace mocos::markov {
 
 namespace {
 
-/// Resolvent system I − P + 𝟙cᵀ with the fixed reference vector c = 𝟙/M.
-/// Unlike I − P + W it does not depend on π, so one factorization yields π
-/// as well as Z. Each entry is (δ_ij − p_ij) + c, with p_ij = 0 off the
-/// pattern.
-linalg::Matrix resolvent_system(const linalg::SparseMatrix& p) {
+/// Writes the resolvent system I − P + 𝟙cᵀ with the fixed reference vector
+/// c = 𝟙/M row-major into `a`, in one pass over each row's entries and its
+/// stored transitions. Unlike I − P + W it does not depend on π, so one
+/// factorization yields π as well as Z. Each entry is (δ_ij − p_ij) + c,
+/// with p_ij = 0 off the pattern.
+void write_resolvent_system(const linalg::SparseMatrix& p, double* a) {
   const std::size_t n = p.rows();
   const double c = 1.0 / static_cast<double>(n);
-  linalg::Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) m(i, j) = (i == j ? 1.0 : 0.0) + c;
   const auto& offsets = p.row_offsets();
   const auto& cols = p.col_indices();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-      m(i, cols[e]) = (i == cols[e] ? 1.0 : 0.0) - p.values()[e] + c;
-  return m;
+  const std::vector<double>& values = p.values();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = a + i * n;
+    std::size_t e = offsets[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      const double delta = i == j ? 1.0 : 0.0;
+      if (e < offsets[i + 1] && cols[e] == j) {
+        row[j] = delta - values[e] + c;
+        ++e;
+      } else {
+        row[j] = delta + c;
+      }
+    }
+  }
 }
 
 /// Every switch from the sparse ladder to the dense LU, counted once.
@@ -76,40 +85,58 @@ util::Status Resolvent::try_factor_sparse(const linalg::SparseMatrix& p,
 
 util::StatusOr<Resolvent> Resolvent::try_factor(const TransitionMatrix& p,
                                                 SolvePolicy policy) {
-  const std::size_t n = p.size();
-  const linalg::Vector c(n, 1.0 / static_cast<double>(n));
   Resolvent res;
+  util::Status status = res.try_refactor(p, policy);
+  if (!status.is_ok()) return status;
+  return res;
+}
+
+util::Status Resolvent::try_refactor(const TransitionMatrix& p,
+                                     SolvePolicy policy) {
+  factored_ = false;
+  sparse_.reset();
+  const std::size_t n = p.size();
+  c_.assign(n, 1.0 / static_cast<double>(n));
   if (routes_sparse(policy, p.csr())) {
-    util::Status sparse = res.try_factor_sparse(p.csr(), c);
+    util::Status sparse = try_factor_sparse(p.csr(), c_);
     if (sparse.is_ok()) {
       obs::count("markov.sparse.solves");
-      return res;
+      factored_ = true;
+      return sparse;
     }
     record_sparse_fallback(sparse);
   }
-  util::StatusOr<linalg::LuDecomposition> lu =
-      linalg::LuDecomposition::try_factor(resolvent_system(p.csr()));
-  if (!lu.ok()) return lu.status();
+  util::Status lu = dense_.try_refactor(
+      n, [&p](double* a) { write_resolvent_system(p.csr(), a); });
+  if (!lu.is_ok()) return lu;
   // πᵀA = cᵀ: one transposed solve against the same factors.
-  res.pi_ = lu->solve_transposed(c);
+  dense_.solve_transposed_into(c_, pi_, work_);
   double sum = 0.0;
-  for (double x : res.pi_) sum += x;
-  for (double& x : res.pi_) x /= sum;
-  util::Status finite = util::check_finite(res.pi_, "resolvent pi");
+  for (double x : pi_) sum += x;
+  for (double& x : pi_) x /= sum;
+  util::Status finite = util::check_finite(pi_, "resolvent pi");
   if (!finite.is_ok()) return finite;
-  res.dense_.emplace(std::move(*lu));
-  return res;
+  factored_ = true;
+  return util::Status::ok();
+}
+
+util::Status Resolvent::check_factored() const {
+  if (factored_) return util::Status::ok();
+  return util::Status(util::StatusCode::kInternal,
+                      "Resolvent: no factorization held");
 }
 
 util::StatusOr<linalg::Vector> Resolvent::try_fundamental_apply(
     const linalg::Vector& pi, const linalg::Vector& v) const {
+  util::Status factored = check_factored();
+  if (!factored.is_ok()) return factored;
   linalg::Vector gv;
   if (sparse_) {
     util::StatusOr<linalg::Vector> solved = sparse_->try_apply(v);
     if (!solved.ok()) return solved.status();
     gv = std::move(*solved);
   } else {
-    gv = dense_->solve(v);
+    gv = dense_.solve(v);
   }
   // Z v = A#v + 𝟙(πᵀv) with A#v = Gv − 𝟙(πᵀGv).
   double shift = 0.0;
@@ -121,8 +148,10 @@ util::StatusOr<linalg::Vector> Resolvent::try_fundamental_apply(
 }
 
 util::StatusOr<linalg::Matrix> Resolvent::try_inverse() const {
+  util::Status factored = check_factored();
+  if (!factored.is_ok()) return factored;
   if (sparse_) return sparse_->try_inverse();
-  linalg::Matrix g = dense_->inverse();
+  linalg::Matrix g = dense_.inverse();
   util::Status finite = util::check_finite(g, "resolvent G");
   if (!finite.is_ok()) return finite;
   return g;
@@ -130,28 +159,35 @@ util::StatusOr<linalg::Matrix> Resolvent::try_inverse() const {
 
 namespace {
 
-/// The analysis `level` asks for, through `resolvent`.
-util::StatusOr<ResolventAnalysis> analyze_through(Resolvent resolvent,
-                                                  const TransitionMatrix& p,
-                                                  SolvePolicy policy,
-                                                  AnalysisLevel level) {
-  linalg::Vector pi = resolvent.stationary();
+/// The rest of the analysis `level` asks for, through out.resolvent, which
+/// holds p's factorization.
+util::Status analyze_through(const TransitionMatrix& p, SolvePolicy policy,
+                             AnalysisLevel level, ResolventAnalysis& out) {
+  const Resolvent& resolvent = *out.resolvent;
+  ChainAnalysis& chain = out.chain;
   if (policy == SolvePolicy::kPowerIteration) {
     util::StatusOr<linalg::Vector> power =
         try_stationary_distribution(p, SolvePolicy::kPowerIteration);
     if (!power.ok()) return power.status();
-    pi = std::move(*power);
+    chain.pi = std::move(*power);
+  } else {
+    chain.pi = resolvent.stationary();
   }
-  util::Status positive = util::check_strictly_positive(pi, "resolvent pi");
+  util::Status positive =
+      util::check_strictly_positive(chain.pi, "resolvent pi");
   if (!positive.is_ok()) return positive;
-  const bool sparse = resolvent.sparse();
-  if (level == AnalysisLevel::kStationary)
-    return ResolventAnalysis{ChainAnalysis{p, std::move(pi), {}, {}}, sparse,
-                             std::move(resolvent)};
+  out.sparse = resolvent.sparse();
+  chain.p = p;
+  if (level == AnalysisLevel::kStationary) {
+    chain.z = linalg::Matrix();
+    chain.r = linalg::Matrix();
+    return util::Status::ok();
+  }
 
   util::StatusOr<linalg::Matrix> g = resolvent.try_inverse();
   if (!g.ok()) return g.status();
   // Z = A# + W with A# = G − 𝟙(πᵀG) (Eqs. 6–7), evaluated in that order.
+  const linalg::Vector& pi = chain.pi;
   const std::size_t n = pi.size();
   const linalg::Vector pi_g = linalg::mul(pi, *g);
   linalg::Matrix z(n, n);
@@ -159,32 +195,44 @@ util::StatusOr<ResolventAnalysis> analyze_through(Resolvent resolvent,
     for (std::size_t j = 0; j < n; ++j) z(i, j) = (*g)(i, j) - pi_g[j] + pi[j];
   util::StatusOr<linalg::Matrix> r = try_first_passage_times(z, pi);
   if (!r.ok()) return r.status();
-  return ResolventAnalysis{
-      ChainAnalysis{p, std::move(pi), std::move(z), std::move(*r)}, sparse,
-      std::nullopt};
+  chain.z = std::move(z);
+  chain.r = std::move(*r);
+  out.resolvent.reset();
+  return util::Status::ok();
 }
 
 }  // namespace
 
 util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
     const TransitionMatrix& p, SolvePolicy policy, AnalysisLevel level) {
+  ResolventAnalysis out{ChainAnalysis{p, {}, {}, {}}, false, std::nullopt};
+  util::Status status = try_resolvent_analysis_into(p, policy, level, out);
+  if (!status.is_ok()) return status;
+  return out;
+}
+
+util::Status try_resolvent_analysis_into(const TransitionMatrix& p,
+                                         SolvePolicy policy,
+                                         AnalysisLevel level,
+                                         ResolventAnalysis& out) {
   obs::ScopedPhase phase("chain.full_solve");
   util::Status input = util::check_row_stochastic(p.csr());
   if (!input.is_ok()) return input;
 
-  util::StatusOr<Resolvent> resolvent = Resolvent::try_factor(p, policy);
-  if (!resolvent.ok()) return resolvent.status();
-  const bool sparse = resolvent->sparse();
-  util::StatusOr<ResolventAnalysis> solved =
-      analyze_through(std::move(*resolvent), p, policy, level);
-  if (solved.ok() || !sparse) return solved;
+  if (!out.resolvent) out.resolvent.emplace();
+  util::Status factored = out.resolvent->try_refactor(p, policy);
+  if (!factored.is_ok()) return factored;
+  const bool sparse = out.resolvent->sparse();
+  util::Status solved = analyze_through(p, policy, level, out);
+  if (solved.is_ok() || !sparse) return solved;
   // The sparse ladder agrees with the dense factorization well inside the
   // 1e-10 parity contract; a failure past the factorization (a stalled
-  // Krylov column of G, a non-positive π) reruns the analysis dense.
-  record_sparse_fallback(solved.status());
-  resolvent = Resolvent::try_factor(p, SolvePolicy::kDense);
-  if (!resolvent.ok()) return resolvent.status();
-  return analyze_through(std::move(*resolvent), p, policy, level);
+  // Krylov column of G, a non-positive π) reruns the analysis dense. A
+  // failed analyze_through keeps out.resolvent.
+  record_sparse_fallback(solved);
+  factored = out.resolvent->try_refactor(p, SolvePolicy::kDense);
+  if (!factored.is_ok()) return factored;
+  return analyze_through(p, policy, level, out);
 }
 
 }  // namespace mocos::markov

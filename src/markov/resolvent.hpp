@@ -30,12 +30,24 @@ namespace mocos::markov {
 /// (kPowerIteration factors dense).
 class Resolvent {
  public:
+  /// No factorization yet: the slot try_refactor() fills.
+  Resolvent() = default;
+
   /// Factors A for the row-stochastic `p` and solves for π. Fails with the
   /// dense LU's status (kSingularMatrix for a reducible chain) or
   /// kNonFiniteValue when π is not finite. Each accepted ladder
   /// factorization counts markov.sparse.solves, each switch from the ladder
   /// to the dense LU markov.sparse.fallbacks.
   [[nodiscard]] static util::StatusOr<Resolvent> try_factor(
+      const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
+
+  /// The in-place form of try_factor, with its statuses and counters: A is
+  /// written in one pass straight into the dense factors' storage and
+  /// factored there, and π lands in this object's own vector, so a dense
+  /// refactor at an unchanged M allocates nothing. After a failure the
+  /// object holds no factorization (its products return kInternal) until
+  /// the next success.
+  [[nodiscard]] util::Status try_refactor(
       const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto);
 
   /// True when the sparse ladder produced the factorization.
@@ -52,17 +64,21 @@ class Resolvent {
   [[nodiscard]] util::StatusOr<linalg::Matrix> try_inverse() const;
 
  private:
-  Resolvent() = default;
-
   /// The sparse ladder's factorization of `p`'s stored entries and its π,
   /// kept only when every rung step succeeds and π passes the fixed-point
   /// gate.
   [[nodiscard]] util::Status try_factor_sparse(const linalg::SparseMatrix& p,
                                                const linalg::Vector& c);
 
-  std::optional<linalg::LuDecomposition> dense_;
+  /// kInternal unless the object holds a factorization.
+  [[nodiscard]] util::Status check_factored() const;
+
+  linalg::LuDecomposition dense_;  // its storage serves every dense refactor
   std::optional<partition::SparseResolvent> sparse_;
+  bool factored_ = false;
+  linalg::Vector c_;     // the reference vector 𝟙/M
   linalg::Vector pi_;
+  linalg::Vector work_;  // the transposed solve's scratch
 };
 
 /// The fixed-point gate on the sparse ladder's π.
@@ -99,6 +115,17 @@ struct ResolventAnalysis {
 [[nodiscard]] util::StatusOr<ResolventAnalysis> try_resolvent_analysis(
     const TransitionMatrix& p, SolvePolicy policy = SolvePolicy::kAuto,
     AnalysisLevel level = AnalysisLevel::kFundamental);
+
+/// The in-place form of try_resolvent_analysis, with its statuses, counters
+/// and fault sites: refills the caller's `out` (the copy of P, π and, at
+/// kStationary, the factorization in out.resolvent, whose storage
+/// Resolvent::try_refactor reuses) instead of returning a new analysis. A
+/// dense kStationary refill of an `out` that already held an analysis of
+/// the same M allocates nothing. After a failure `out` holds no usable
+/// analysis until the next success.
+[[nodiscard]] util::Status try_resolvent_analysis_into(
+    const TransitionMatrix& p, SolvePolicy policy, AnalysisLevel level,
+    ResolventAnalysis& out);
 
 /// Counters a caller keeps over its chain solves, exported as the
 /// chain_cache.* metrics. An optimization run can span several evaluators

@@ -57,22 +57,24 @@ TransitionMatrix::TransitionMatrix(linalg::SparseMatrix m, double tol)
 void TransitionMatrix::validate(double tol) {
   if (m_.rows() != m_.cols() || m_.rows() < 2)
     throw std::invalid_argument("TransitionMatrix: need square, size >= 2");
+  for (std::size_t i = 0; i < m_.rows(); ++i) validate_row(i, tol);
+}
+
+void TransitionMatrix::validate_row(std::size_t i, double tol) {
   const auto& offsets = m_.row_offsets();
   std::vector<double>& values = m_.values();
-  for (std::size_t i = 0; i < m_.rows(); ++i) {
-    double sum = 0.0;
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      double v = values[e];
-      if (v < -tol || v > 1.0 + tol)
-        throw std::invalid_argument("TransitionMatrix: entry out of [0,1]");
-      v = std::clamp(v, 0.0, 1.0);
-      values[e] = v;
-      sum += v;
-    }
-    if (std::abs(sum - 1.0) > tol)
-      throw std::invalid_argument("TransitionMatrix: row does not sum to 1");
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) values[e] /= sum;
+  double sum = 0.0;
+  for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+    double v = values[e];
+    if (v < -tol || v > 1.0 + tol)
+      throw std::invalid_argument("TransitionMatrix: entry out of [0,1]");
+    v = std::clamp(v, 0.0, 1.0);
+    values[e] = v;
+    sum += v;
   }
+  if (std::abs(sum - 1.0) > tol)
+    throw std::invalid_argument("TransitionMatrix: row does not sum to 1");
+  for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) values[e] /= sum;
 }
 
 TransitionMatrix TransitionMatrix::uniform(std::size_t n) {

@@ -92,35 +92,13 @@ CoverageSums coverage_sums(
     const std::vector<std::vector<CoverageEntry>>& entries,
     const linalg::SparseMatrix& durations, const linalg::Vector& pi,
     const linalg::SparseMatrix& p) {
-  const std::size_t n = durations.rows();
-  if (entries.size() != n || pi.size() != n || p.rows() != n)
-    throw std::invalid_argument("coverage_sums: size mismatch");
-  // The descent's P sits on the tensors' own pattern: slots line up.
-  const bool same = p.pattern() == durations.pattern();
-  const auto& offsets = p.row_offsets();
-  const auto& cols = p.col_indices();
-  const std::vector<double>& pv = p.values();
-  const std::vector<double>& tv = durations.values();
   CoverageSums sums;
-  // Exact zero transitions (explicit zeros on P's pattern) contribute
-  // nothing to Ē, so skipping them is lossless.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double pj = pi[j];
-    for (std::size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
-      const double pjk = pv[e];
-      // mocos-lint: allow(float-eq)
-      if (pjk == 0.0) continue;
-      const double t = tv[same ? e : tensor_slot(durations, j, cols[e])];
-      sums.expected += pj * pjk * t;
-    }
-  }
-  sums.covered.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double covered = 0.0;
-    for (const CoverageEntry& e : entries[i])
-      covered += pi[e.j] * (same ? pv[e.slot] : p(e.j, e.k)) * e.value;
-    sums.covered[i] = covered;
-  }
+  sums.covered.resize(entries.size());
+  sums.expected = visit_coverage_sums(
+      entries, durations, pi, p,
+      [&sums](std::size_t i, double covered, double) {
+        sums.covered[i] = covered;
+      });
   return sums;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "src/linalg/matrix.hpp"
@@ -113,5 +114,46 @@ CoverageSums coverage_sums(
 /// when the tensors' pattern lacks it (P leaves the support).
 std::size_t tensor_slot(const linalg::SparseMatrix& durations, std::size_t j,
                         std::size_t k);
+
+/// The one traversal behind coverage_sums, without its per-PoI vector:
+/// sums `expected` over P's stored entries, then hands each PoI's
+/// covered[i] to `visit(i, covered_i, expected)` in PoI order, and returns
+/// `expected`. The cost terms read the sums through it; coverage_sums
+/// collects them. Throws as coverage_sums.
+template <class Visit>
+double visit_coverage_sums(
+    const std::vector<std::vector<CoverageEntry>>& entries,
+    const linalg::SparseMatrix& durations, const linalg::Vector& pi,
+    const linalg::SparseMatrix& p, Visit&& visit) {
+  const std::size_t n = durations.rows();
+  if (entries.size() != n || pi.size() != n || p.rows() != n)
+    throw std::invalid_argument("coverage_sums: size mismatch");
+  // The descent's P sits on the tensors' own pattern: slots line up.
+  const bool same = p.pattern() == durations.pattern();
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  const std::vector<double>& pv = p.values();
+  const std::vector<double>& tv = durations.values();
+  double expected = 0.0;
+  // Exact zero transitions (explicit zeros on P's pattern) contribute
+  // nothing to Ē, so skipping them is lossless.
+  for (std::size_t j = 0; j < n; ++j) {
+    const double pj = pi[j];
+    for (std::size_t e = offsets[j]; e < offsets[j + 1]; ++e) {
+      const double pjk = pv[e];
+      // mocos-lint: allow(float-eq)
+      if (pjk == 0.0) continue;
+      const double t = tv[same ? e : tensor_slot(durations, j, cols[e])];
+      expected += pj * pjk * t;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double covered = 0.0;
+    for (const CoverageEntry& e : entries[i])
+      covered += pi[e.j] * (same ? pv[e.slot] : p(e.j, e.k)) * e.value;
+    visit(i, covered, expected);
+  }
+  return expected;
+}
 
 }  // namespace mocos::sensing

@@ -6,12 +6,15 @@
 // solve must agree with the Kemeny–Snell pipeline (dense π, then
 // Z = (I − P + W)⁻¹, then R) to 1e-10, and the closed-form exposure must
 // equal Eq. 3 evaluated through R. The descent evaluator's one-entry memo
-// answers exact repeats only.
+// answers exact repeats only, and a refill of one analysis in place equals
+// a fresh analysis bit for bit.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/core/optimizer.hpp"
@@ -138,6 +141,55 @@ TEST(ChainProperties, ClosedFormExposureMatchesEq3) {
     for (std::size_t i = 0; i < p.size(); ++i)
       EXPECT_NEAR(closed[i], eq3[i], kAgreementTol * std::abs(eq3[i]));
   }
+}
+
+TEST(ChainProperties, InPlaceRefillMatchesFreshAnalysisBitForBit) {
+  // One ResolventAnalysis refilled across the seeded chains, whose size
+  // varies from 2 to 10, with a failed refill of a reducible chain every 40
+  // chains: each refill must equal a fresh analysis of the same chain bit
+  // for bit, in π, in P's values and in Z·v through the kept factors.
+  const markov::TransitionMatrix reducible(linalg::Matrix{
+      {0.5, 0.5, 0.0, 0.0},
+      {0.5, 0.5, 0.0, 0.0},
+      {0.0, 0.0, 0.5, 0.5},
+      {0.0, 0.0, 0.5, 0.5}});
+  constexpr auto kLevel = markov::AnalysisLevel::kStationary;
+  markov::ResolventAnalysis slot{
+      markov::ChainAnalysis{generated_chain(0), {}, {}, {}}, false,
+      std::nullopt};
+  std::size_t size_changes = 0;
+  std::size_t last_size = 0;
+  for (std::uint64_t k = 0; k < kNumChains; ++k) {
+    SCOPED_TRACE("chain " + std::to_string(k));
+    if (k % 40 == 20) {
+      const util::Status failed = markov::try_resolvent_analysis_into(
+          reducible, markov::SolvePolicy::kAuto, kLevel, slot);
+      EXPECT_TRUE(util::is_numerical_failure(failed.code()));
+    }
+    const markov::TransitionMatrix p = generated_chain(k);
+    const std::size_t n = p.size();
+    size_changes += n != last_size ? 1 : 0;
+    last_size = n;
+    const util::Status refilled = markov::try_resolvent_analysis_into(
+        p, markov::SolvePolicy::kAuto, kLevel, slot);
+    ASSERT_TRUE(refilled.is_ok()) << refilled.to_string();
+    const markov::ResolventAnalysis fresh = test::unwrap(
+        markov::try_resolvent_analysis(p, markov::SolvePolicy::kAuto, kLevel));
+
+    EXPECT_EQ(slot.chain.pi, fresh.chain.pi);
+    EXPECT_EQ(slot.chain.p.csr().values(), fresh.chain.p.csr().values());
+    EXPECT_EQ(slot.sparse, fresh.sparse);
+    ASSERT_TRUE(slot.resolvent.has_value());
+    ASSERT_TRUE(fresh.resolvent.has_value());
+    linalg::Vector v(n);
+    for (std::size_t i = 0; i < n; ++i)
+      v[i] = std::sin(static_cast<double>(k + 3 * i));
+    EXPECT_EQ(test::unwrap(slot.resolvent->try_fundamental_apply(
+                  slot.chain.pi, v)),
+              test::unwrap(fresh.resolvent->try_fundamental_apply(
+                  fresh.chain.pi, v)));
+  }
+  EXPECT_GT(size_changes, 1u);
 }
 
 TEST(ChainProperties, MemoAnswersOnlyExactRepeats) {

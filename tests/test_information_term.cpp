@@ -111,8 +111,10 @@ TEST(InformationTerm, RejectsBadArguments) {
 // (the config CI's information-on-support smoke step runs).
 core::Problem support_restricted_problem() {
   std::string rates;
-  for (std::size_t i = 0; i < 36; ++i)
-    rates += (i == 0 ? "" : ",") + std::to_string(1 + i % 4);
+  for (std::size_t i = 0; i < 36; ++i) {
+    if (i > 0) rates += ',';
+    rates += std::to_string(1 + i % 4);
+  }
   return cli::build_problem(util::Config::parse_string(
       "topology = city:36:3\nradius = 0.1\nsupport_radius = 1.6\n"
       "event_rates = " + rates + "\n"));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "src/util/rng.hpp"
@@ -139,6 +140,39 @@ TEST(Lu, TryHelpersPropagateSingularity) {
   ASSERT_TRUE(x.ok());
   EXPECT_NEAR((*x)[0], 1.0, 1e-12);
   EXPECT_NEAR((*x)[1], 2.0, 1e-12);
+}
+
+TEST(Lu, RefactorInPlaceMatchesFreshFactorization) {
+  // One decomposition refactored across sizes, with a failed refactor in
+  // between: every success solves both sides exactly as a fresh
+  // factorization of the same matrix does.
+  util::Rng rng(77);
+  LuDecomposition slot;
+  for (const std::size_t n : {5u, 3u, 2u, 8u, 8u}) {
+    if (n == 2) {
+      const util::Status failed = slot.try_refactor(2, [](double* a) {
+        a[0] = 1.0;
+        a[1] = 2.0;
+        a[2] = 2.0;
+        a[3] = 4.0;
+      });
+      EXPECT_EQ(failed.code(), util::StatusCode::kSingularMatrix);
+    }
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
+    ASSERT_TRUE(slot.try_refactor(n, [&a](double* out) {
+                      std::copy(a.data(), a.data() + a.rows() * a.cols(),
+                                out);
+                    }).is_ok());
+    const auto fresh = LuDecomposition::try_factor(a);
+    ASSERT_TRUE(fresh.ok());
+    Vector b(n);
+    for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
+    EXPECT_EQ(slot.solve(b), fresh->solve(b)) << "n=" << n;
+    EXPECT_EQ(slot.solve_transposed(b), fresh->solve_transposed(b));
+    EXPECT_EQ(slot.determinant(), fresh->determinant());
+  }
 }
 
 class LuRandomTest : public ::testing::TestWithParam<std::size_t> {};

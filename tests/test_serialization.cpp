@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "tests/helpers.hpp"
 #include "tests/temporary_file.hpp"
@@ -101,6 +104,39 @@ TEST(Serialization, FileRoundTrip) {
   EXPECT_THROW(load_schedule("/nonexistent/sched.txt"), std::runtime_error);
   EXPECT_THROW(save_schedule("/nonexistent_dir_zz/s.txt", p),
                std::runtime_error);
+}
+
+TEST(Serialization, SavedFileMatchesSerializedText) {
+  // save_schedule streams the rows it formats; the file must hold exactly
+  // serialize_schedule's bytes, here for a support-restricted chain: a ring
+  // whose rows store only themselves and their two neighbours.
+  constexpr std::size_t kN = 7;
+  std::vector<std::vector<std::size_t>> support(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    support[i] = {(i + kN - 1) % kN, i, (i + 1) % kN};
+    std::sort(support[i].begin(), support[i].end());
+  }
+  util::Rng rng(21);
+  linalg::SparseMatrix m(linalg::SparsityPattern::from_rows(kN, support));
+  for (std::size_t i = 0; i < kN; ++i) {
+    double sum = 0.0;
+    for (std::size_t e = m.row_offsets()[i]; e < m.row_offsets()[i + 1];
+         ++e) {
+      m.values()[e] = 0.05 + rng.uniform();
+      sum += m.values()[e];
+    }
+    for (std::size_t e = m.row_offsets()[i]; e < m.row_offsets()[i + 1]; ++e)
+      m.values()[e] /= sum;
+  }
+  const markov::TransitionMatrix p(std::move(m));
+  ASSERT_FALSE(p.pattern().is_full());
+
+  const test::TemporaryFile file("mocos_sched_support.txt");
+  save_schedule(file.path(), p);
+  std::ifstream in(file.path(), std::ios::binary);
+  std::ostringstream saved;
+  saved << in.rdbuf();
+  EXPECT_EQ(saved.str(), serialize_schedule(p));
 }
 
 }  // namespace

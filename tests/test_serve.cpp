@@ -425,8 +425,11 @@ TEST(ServeLoop, InjectedQueueFullShedsWithBackoffHint) {
   // deterministically, independent of worker timing.
   ScopedFault fault(Site::kServeQueueFull, 1, 2);
   std::ostringstream log;
-  for (int i = 0; i < 5; ++i)
-    log << request_line("q" + std::to_string(i), tiny_config(10)) << "\n";
+  for (int i = 0; i < 5; ++i) {
+    std::string id = "q";
+    id += std::to_string(i);
+    log << request_line(id, tiny_config(10)) << "\n";
+  }
   std::string output;
   const serve::ServeReport report =
       run_serve(log.str(), output, test_options());
@@ -508,10 +511,13 @@ TEST(ServeLoop, EveryLineGetsExactlyOneResponseUnderChaos) {
   util::fault::arm_probabilistic(Site::kServeQueueFull, 0.3, 7);
   std::ostringstream log;
   const int kRequests = 40;
-  for (int i = 0; i < kRequests; ++i)
-    log << request_line("c" + std::to_string(i), tiny_config(10 + i % 5),
+  for (int i = 0; i < kRequests; ++i) {
+    std::string id = "c";
+    id += std::to_string(i);
+    log << request_line(id, tiny_config(10 + i % 5),
                         ", \"deadline_ms\": 2000")
         << "\n";
+  }
   serve::ServeOptions options = test_options();
   options.queue_capacity = 4;
   std::string output;

@@ -9,6 +9,8 @@
 #include "src/cost/barrier_term.hpp"
 #include "src/cost/coverage_term.hpp"
 #include "src/cost/exposure_term.hpp"
+#include "src/descent/cached_cost.hpp"
+#include "src/descent/descent_loop.hpp"
 #include "src/descent/initializers.hpp"
 #include "src/geometry/paper_topologies.hpp"
 #include "src/markov/ergodicity.hpp"
@@ -65,6 +67,50 @@ TEST(ApplyStep, ClampsAtMargin) {
                             0.01);  // would overshoot hard
   EXPECT_GE(q(0, 0), 0.009);
   EXPECT_LE(q(0, 1), 0.991);
+}
+
+TEST(ApplyStep, ReusedTargetMatchesFreshStepBitForBit) {
+  // Two chains on one pattern object; the second keeps an explicit zero at
+  // (0, 2) that the step must leave exactly zero. Stepping it into a target
+  // that still holds the first chain's step must give apply_step's bits,
+  // the zero included.
+  const linalg::Pattern pattern = linalg::SparsityPattern::full(3, 3);
+  const markov::TransitionMatrix busy(linalg::SparseMatrix(
+      pattern, {0.2, 0.3, 0.5, 0.1, 0.6, 0.3, 0.4, 0.4, 0.2}));
+  const markov::TransitionMatrix closed(linalg::SparseMatrix(
+      pattern, {0.7, 0.3, 0.0, 0.1, 0.6, 0.3, 0.4, 0.4, 0.2}));
+  const linalg::SparseMatrix v(
+      pattern, {-0.2, 0.2, 0.0, 0.1, -0.3, 0.2, 0.05, 0.05, -0.1});
+  markov::TransitionMatrix target = busy;
+  apply_step_into(busy, v, 0.3, 1e-12, target);
+  ASSERT_GT(target(0, 2), 0.0);
+  apply_step_into(closed, v, 0.3, 1e-12, target);
+  const markov::TransitionMatrix fresh = apply_step(closed, v, 0.3, 1e-12);
+  EXPECT_EQ(target, fresh);
+  EXPECT_EQ(target.csr().values()[2], 0.0);
+  EXPECT_EQ(target.csr().shared_pattern(), pattern);
+}
+
+TEST(DescentLoopProbe, EqualsCostOfSteppedMatrix) {
+  // probe(direction, t) is cost_at(stepped(direction, t)) bit for bit,
+  // though it reuses one candidate and refills the memo in place.
+  Fixture f(4, 1.0, 1.0);
+  util::Rng rng(9);
+  const auto start = test::random_positive_chain(9, rng);
+  const linalg::SparseMatrix direction =
+      test::on_pattern(start, test::random_direction(9, rng));
+  const DescentConfig config;
+  DescentLoop loop(DescentLoop::Driver::kSteepest, f.u, config, false,
+                   start);
+  CachedCostEvaluator reference(f.u);
+  const double max_step = loop.max_step(direction);
+  ASSERT_GT(max_step, 0.0);
+  for (const double share : {0.9, 0.1, 0.5, 0.5, 1.0, 0.0}) {
+    const double t = share * max_step;
+    EXPECT_EQ(loop.probe(direction, t),
+              reference.cost_at(loop.stepped(direction, t)))
+        << "t=" << t;
+  }
 }
 
 TEST(SafeCost, InfeasibleIsInfinity) {
