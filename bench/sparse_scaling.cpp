@@ -23,7 +23,7 @@
 #include "src/markov/fundamental.hpp"
 #include "src/markov/solve_policy.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/partition/block_solver.hpp"
+#include "src/sparse/resolvent_ladder.hpp"
 
 namespace mocos::bench {
 namespace {
@@ -79,7 +79,7 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   // The rung that served it, outside the timed region.
   const linalg::Vector c(m, 1.0 / static_cast<double>(m));
   pt.used_banded =
-      partition::SparseResolvent::try_factor(sp, c).value().banded();
+      sparse::SparseResolvent::try_factor(sp, c).value().banded();
   pt.used_bicgstab = !pt.used_banded;
   pt.bandwidth = sp.pattern().band_ordering().bandwidth;
 

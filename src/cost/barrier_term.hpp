@@ -18,7 +18,7 @@ class BarrierTerm final : public CostTerm {
   /// `epsilon` is the paper's ε (0 < ε < 1/2); experiments use 1e-4.
   explicit BarrierTerm(double epsilon);
 
-  std::string name() const override { return "barrier"; }
+  std::string_view name() const override { return "barrier"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

@@ -27,16 +27,9 @@ bool CompositeCost::needs_fundamental() const {
 
 double CompositeCost::value(const markov::ChainAnalysis& chain) const {
   double u = 0.0;
-  // The per-term phase splits only exist while a profiler is installed:
-  // name() allocates, so the disabled path must not touch it.
-  const bool profiling = obs::current_profiler() != nullptr;
   for (const auto& t : terms_) {
-    if (profiling) {
-      obs::ScopedPhase phase(t->name());
-      u += t->value(chain);
-    } else {
-      u += t->value(chain);
-    }
+    obs::ScopedPhase phase(t->name());
+    u += t->value(chain);
     if (std::isinf(u)) return u;
   }
   return u;
@@ -66,7 +59,8 @@ std::vector<std::pair<std::string, double>> CompositeCost::breakdown(
     const markov::ChainAnalysis& chain) const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(terms_.size());
-  for (const auto& t : terms_) out.emplace_back(t->name(), t->value(chain));
+  for (const auto& t : terms_)
+    out.emplace_back(std::string(t->name()), t->value(chain));
   return out;
 }
 

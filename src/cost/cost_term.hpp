@@ -1,6 +1,6 @@
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "src/cost/partials.hpp"
 #include "src/markov/fundamental.hpp"
@@ -20,7 +20,7 @@ class CostTerm {
  public:
   virtual ~CostTerm() = default;
 
-  virtual std::string name() const = 0;
+  virtual std::string_view name() const = 0;
 
   /// True when value() or accumulate_partials() reads the fundamental
   /// matrix Z (and so may write ∂U/∂Z). A term that reads Z without saying

@@ -27,7 +27,7 @@ class CoverageDeviationTerm final : public CostTerm {
   CoverageDeviationTerm(const sensing::CoverageTensors& tensors,
                         const std::vector<double>& targets, double alpha);
 
-  std::string name() const override { return "coverage_deviation"; }
+  std::string_view name() const override { return "coverage_deviation"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

@@ -17,7 +17,7 @@ class EnergyTerm final : public CostTerm {
   EnergyTerm(const sensing::CoverageTensors& tensors, double gamma,
              double target = 0.0);
 
-  std::string name() const override { return "energy"; }
+  std::string_view name() const override { return "energy"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

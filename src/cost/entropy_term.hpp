@@ -15,7 +15,7 @@ class EntropyTerm final : public CostTerm {
  public:
   explicit EntropyTerm(double weight);
 
-  std::string name() const override { return "entropy"; }
+  std::string_view name() const override { return "entropy"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

@@ -42,7 +42,7 @@ class EventCaptureTerm final : public CostTerm {
   /// `weight` > 0 scales the objective against the others.
   EventCaptureTerm(std::vector<double> rates, double duration, double weight);
 
-  std::string name() const override { return "event_capture"; }
+  std::string_view name() const override { return "event_capture"; }
   bool needs_fundamental() const override { return true; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,

@@ -26,7 +26,7 @@ class ExposureTerm final : public CostTerm {
   explicit ExposureTerm(std::vector<double> betas);
   ExposureTerm(std::size_t n, double beta);
 
-  std::string name() const override { return "exposure"; }
+  std::string_view name() const override { return "exposure"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

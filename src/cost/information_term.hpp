@@ -31,7 +31,7 @@ class InformationCaptureTerm final : public CostTerm {
   InformationCaptureTerm(const sensing::CoverageTensors& tensors,
                          std::vector<double> rates, double gamma);
 
-  std::string name() const override { return "information_capture"; }
+  std::string_view name() const override { return "information_capture"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

@@ -27,7 +27,7 @@ class MinimaxExposureTerm final : public CostTerm {
   /// temperature (larger = closer to the hard max, stiffer gradients).
   MinimaxExposureTerm(double weight, double beta);
 
-  std::string name() const override { return "minimax_exposure"; }
+  std::string_view name() const override { return "minimax_exposure"; }
   double value(const markov::ChainAnalysis& chain) const override;
   void accumulate_partials(const markov::ChainAnalysis& chain,
                            Partials& out) const override;

@@ -24,8 +24,8 @@ struct CityConfig {
 };
 
 /// Builds the jittered-grid topology. PoI index order is row-major cell
-/// order, so indices are spatially sorted — the layout the spatial
-/// partitioner and bandwidth orderings exploit. Target shares are sampled
+/// order, so indices are spatially sorted — the layout the bandwidth
+/// ordering exploits. Target shares are sampled
 /// like random_topology's (min weight 0.2, normalized). Deterministic from
 /// `config.seed` alone. Throws std::invalid_argument for count < 2 or
 /// non-positive spacing.

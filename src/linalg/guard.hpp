@@ -2,12 +2,13 @@
 
 #include "src/linalg/matrix.hpp"
 #include "src/linalg/sparse_matrix.hpp"
-#include "src/util/guard.hpp"
 #include "src/util/status.hpp"
 
-// Vector/Matrix overloads of the util guard validators. They stay in
-// namespace mocos::util so call sites spell util::check_finite(...)
-// uniformly for scalars and containers, but they live in the linalg layer:
+// Cheap validators for the vectors and matrices the numerical pipeline
+// passes between layers. Each is a single O(size) scan; the `check_*` forms
+// return a structured Status naming the offending entry so recovery code and
+// logs can report *where* a computation went bad, not just that it did. They
+// sit in namespace mocos::util beside Status, but live in the linalg layer:
 // util sits below linalg in the module DAG and must not include its headers
 // (mocos_lint's layer-violation rule enforces this).
 

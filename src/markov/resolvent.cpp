@@ -71,8 +71,8 @@ util::Status check_stationary_residual(const linalg::SparseMatrix& p,
 util::Status Resolvent::try_factor_sparse(const linalg::SparseMatrix& p,
                                           const linalg::Vector& c) {
   obs::ScopedPhase phase("sparse.resolvent");
-  util::StatusOr<partition::SparseResolvent> ladder =
-      partition::SparseResolvent::try_factor(p, c);
+  util::StatusOr<sparse::SparseResolvent> ladder =
+      sparse::SparseResolvent::try_factor(p, c);
   if (!ladder.ok()) return ladder.status();
   util::StatusOr<linalg::Vector> pi = ladder->try_stationary();
   if (!pi.ok()) return pi.status();

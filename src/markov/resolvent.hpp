@@ -4,11 +4,11 @@
 #include <optional>
 
 #include "src/linalg/lu.hpp"
+#include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/solve_policy.hpp"
 #include "src/markov/transition_matrix.hpp"
-#include "src/partition/block_solver.hpp"
-#include "src/linalg/sparse_matrix.hpp"
+#include "src/sparse/resolvent_ladder.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::markov {
@@ -74,7 +74,7 @@ class Resolvent {
   [[nodiscard]] util::Status check_factored() const;
 
   linalg::LuDecomposition dense_;  // its storage serves every dense refactor
-  std::optional<partition::SparseResolvent> sparse_;
+  std::optional<sparse::SparseResolvent> sparse_;
   bool factored_ = false;
   linalg::Vector c_;     // the reference vector 𝟙/M
   linalg::Vector pi_;

@@ -18,7 +18,7 @@ namespace mocos::sparse {
 /// no fill outside that row: nothing is eliminated after it). B is
 /// nonsingular for every irreducible row-stochastic P with π_{n−1} > 0, and
 /// the full resolvent G = (I − P + 𝟙cᵀ)⁻¹ follows from B⁻¹ by one
-/// Sherman–Morrison correction (see partition::SparseResolvent).
+/// Sherman–Morrison correction (see SparseResolvent).
 ///
 /// Pivoting: none — I − P is irreducibly weakly diagonally dominant, for
 /// which elimination in natural order is stable (GTH-style); a vanishing

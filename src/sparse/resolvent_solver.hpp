@@ -33,15 +33,6 @@ struct ResolventOperator {
   [[nodiscard]] linalg::Vector diagonal() const;
 };
 
-/// Iteration/tolerance knobs for the Krylov solve. The defaults aim at the
-/// resolvent analysis's ≤1e-10 parity contract: a 1e-13 relative residual
-/// leaves the downstream π/Z/R derivations indistinguishable from a direct
-/// solve on weakly-coupled chains.
-struct ResolventSolveConfig {
-  std::size_t max_iterations = 500;
-  double tolerance = 1e-13;  // relative ‖b − A x‖₂ / ‖b‖₂
-};
-
 /// Convergence report for one Krylov solve, surfaced through Status messages
 /// and the sparse-path metrics.
 struct SolveDiagnostics {
@@ -58,12 +49,11 @@ struct SolveDiagnostics {
 /// Status taxonomy: kSingularMatrix when the recurrence breaks down
 /// (ρ or ω collapse — the resolvent is singular or nearly so),
 /// kNonFiniteValue when the iteration produces NaN/inf, kNotErgodic when
-/// max_iterations pass without reaching the tolerance (the caller's cue to
-/// drop a rung on the recovery ladder). `diag`, when non-null, is filled in
-/// on every path including failures.
+/// 500 iterations pass without reaching a 1e-13 relative residual (the
+/// caller's cue to drop a rung on the recovery ladder). `diag`, when
+/// non-null, is filled in on every path including failures.
 [[nodiscard]] util::StatusOr<linalg::Vector> try_solve_resolvent(
     const ResolventOperator& a, const linalg::Vector& b,
-    const ResolventSolveConfig& config = {}, SolveDiagnostics* diag = nullptr,
-    bool transpose = false);
+    SolveDiagnostics* diag = nullptr, bool transpose = false);
 
 }  // namespace mocos::sparse

@@ -2,7 +2,7 @@
 // dropped on the floor. The bound call and multi-line assignment below must
 // NOT be flagged.
 #include "src/markov/stationary.hpp"
-#include "src/util/guard.hpp"
+#include "src/linalg/guard.hpp"
 
 namespace mocos::markov {
 

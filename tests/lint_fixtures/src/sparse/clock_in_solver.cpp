@@ -1,14 +1,14 @@
 // Fixture: the sparse scope extension — src/sparse/ is inside the
-// determinism scope (the resolvent ladder fans per-column solves out over
-// runtime::parallel_for under the bit-identical-for-any---jobs contract,
-// so ambient clocks and entropy are banned) and the raw-solver scope (the
-// banded → BiCGSTAB → dense fallback ladder only works when every rung
-// reports through Status instead of throwing).
+// determinism scope (the resolvent ladder runs in every descent probe on a
+// sparse route under the bit-identical-for-any---jobs contract, so ambient
+// clocks and entropy are banned) and the raw-solver scope (the banded →
+// BiCGSTAB → dense fallback ladder only works when every rung reports
+// through Status instead of throwing). The raw-solver match is textual, so
+// the call needs no include: an include of src/markov/ would itself be a
+// layer-violation here (see upward_include.cpp).
 // Expected violations: det-time at the steady_clock read and raw-solver at
 // the stationary_distribution call.
 #include <chrono>
-
-#include "src/markov/stationary.hpp"
 
 namespace mocos::sparse {
 

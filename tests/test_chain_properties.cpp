@@ -23,7 +23,6 @@
 #include "src/descent/cached_cost.hpp"
 #include "src/linalg/matrix.hpp"
 #include "src/markov/fundamental.hpp"
-#include "src/markov/group_inverse.hpp"
 #include "src/markov/resolvent.hpp"
 #include "src/util/rng.hpp"
 #include "tests/exposure_reference.hpp"
@@ -57,6 +56,17 @@ double max_abs_diff(const linalg::Vector& a, const linalg::Vector& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(a[i] - b[i]));
   return worst;
+}
+
+/// Meyer's axioms for a group inverse G of A, to tolerance `tol`:
+/// A·G·A = A, G·A·G = G and A·G = G·A.
+bool satisfies_group_inverse_axioms(const linalg::Matrix& a,
+                                    const linalg::Matrix& g, double tol) {
+  const linalg::Matrix ag = a * g;
+  const linalg::Matrix ga = g * a;
+  return linalg::approx_equal(ag * a, a, tol) &&
+         linalg::approx_equal(ga * g, g, tol) &&
+         linalg::approx_equal(ag, ga, tol);
 }
 
 /// Worst entry difference between two analyses of the same chain.
@@ -111,16 +121,17 @@ TEST(ChainProperties, CachedResolventMatchesFullAnalysis) {
     EXPECT_LE(analysis_diff(solved->chain, test::kemeny_snell_analysis(p)),
               kAgreementTol);
 
-    // The group inverse A# = Z − W satisfies Meyer's axioms for A = I − P:
-    // A·A#·A = A, A#·A·A# = A#, A·A# = A#·A.
+    // The group inverse A# = Z − W satisfies Meyer's axioms for A = I − P,
+    // and the paper's Eq. 5, W = I − A·A#, and Eq. 7, Z = I + P·A#.
     const std::size_t n = p.size();
-    linalg::Matrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        a(i, j) = (i == j ? 1.0 : 0.0) - p(i, j);
-    const linalg::Matrix a_sharp =
-        solved->chain.z - markov::stationary_rows(solved->chain.pi);
-    EXPECT_TRUE(markov::satisfies_group_inverse_axioms(a, a_sharp, 1e-8));
+    const linalg::Matrix identity = linalg::Matrix::identity(n);
+    const linalg::Matrix a = identity - p.to_dense();
+    const linalg::Matrix w = markov::stationary_rows(solved->chain.pi);
+    const linalg::Matrix a_sharp = solved->chain.z - w;
+    EXPECT_TRUE(satisfies_group_inverse_axioms(a, a_sharp, 1e-8));
+    EXPECT_LE(max_abs_diff(identity - a * a_sharp, w), kAgreementTol);
+    EXPECT_LE(max_abs_diff(identity + p.to_dense() * a_sharp, solved->chain.z),
+              kAgreementTol);
   }
 }
 

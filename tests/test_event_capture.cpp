@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "src/core/optimizer.hpp"
 #include "src/cost/composite_cost.hpp"
@@ -127,7 +128,7 @@ TEST(EventCapture, OptimizingInformationTermRaisesCaptureRate) {
 /// A term that reads Z without declaring needs_fundamental().
 class UndeclaredZTerm final : public cost::CostTerm {
  public:
-  std::string name() const override { return "undeclared_z"; }
+  std::string_view name() const override { return "undeclared_z"; }
   double value(const markov::ChainAnalysis& chain) const override {
     return chain.fundamental()(0, 0);
   }

@@ -81,21 +81,23 @@ class FixtureViolations(unittest.TestCase):
         "src/serve/raw_socket.cpp": [("det-socket", 18),
                                      ("det-socket", 19),
                                      ("det-socket", 20)],
-        # The sparse/partition scope extension: both directories join the
-        # determinism scope (the resolvent ladder and block solver fan work
-        # out over runtime::parallel_for under the bit-identical contract)
-        # and the raw-solver scope (their fallback ladders branch on Status,
-        # which an unguarded throwing solver would bypass).
+        # The sparse scope extension: src/sparse/ joins the determinism
+        # scope (the resolvent ladder runs in every sparse descent probe
+        # under the bit-identical contract) and the raw-solver scope (its
+        # fallback ladder branches on Status, which an unguarded throwing
+        # solver would bypass).
         "src/sparse/clock_in_solver.cpp": [("det-time", 16),
                                            ("raw-solver", 21)],
-        "src/partition/unordered_blocks.cpp": [("det-unordered", 19),
-                                               ("raw-solver", 24)],
+        "src/sparse/unordered_blocks.cpp": [("det-unordered", 19),
+                                            ("raw-solver", 24)],
         # Layering contract (PR 8): the include-graph pass judges every
         # `#include "src/..."` edge against the module DAG (the target need
         # not exist), and flags file-level include cycles via SCC — the
         # cycle is caught even when only one of its files is scanned,
         # reported at that file's offending include line.
         "src/geometry/forbidden_edge.cpp": [("layer-violation", 6)],
+        # sparse sits below markov: the ladder's row is {linalg, util}.
+        "src/sparse/upward_include.cpp": [("layer-violation", 7)],
         "src/markov/cycle_a.hpp": [("layer-cycle", 6)],
         "src/markov/cycle_b.hpp": [("layer-cycle", 4)],
         # Locking contract (PR 8): raw std primitives and manual
@@ -106,8 +108,7 @@ class FixtureViolations(unittest.TestCase):
                                    ("lock-raw-mutex", 19)],
         "src/cost/raw_lock_call.cpp": [("lock-raw-call", 12),
                                        ("lock-raw-call", 14)],
-        "src/partition/lock_across_parallel.cpp":
-            [("lock-across-parallel", 17)],
+        "src/sim/lock_across_parallel.cpp": [("lock-across-parallel", 17)],
     }
 
     def test_each_fixture_exact_rule_and_line(self):

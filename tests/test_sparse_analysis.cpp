@@ -1,4 +1,4 @@
-#include "src/partition/block_solver.hpp"
+#include "src/sparse/resolvent_ladder.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,7 @@ double max_rel_gap(const linalg::Matrix& a, const linalg::Matrix& b) {
 /// Whether the ladder serves `p` on its banded rung (else BiCGSTAB).
 bool banded_rung(const markov::TransitionMatrix& p) {
   const linalg::Vector c(p.size(), 1.0 / static_cast<double>(p.size()));
-  return test::unwrap(partition::SparseResolvent::try_factor(p.csr(), c))
+  return test::unwrap(sparse::SparseResolvent::try_factor(p.csr(), c))
       .banded();
 }
 

@@ -81,7 +81,7 @@ TEST(ResolventSolver, BicgstabMatchesDirectSolve) {
     linalg::Vector b(n);
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
     SolveDiagnostics diag;
-    const auto x = try_solve_resolvent(op, b, {}, &diag);
+    const auto x = try_solve_resolvent(op, b, &diag);
     ASSERT_TRUE(x.ok()) << x.status().message();
     EXPECT_TRUE(diag.converged);
     const auto ref = linalg::try_solve(a, b);
@@ -105,7 +105,7 @@ TEST(ResolventSolver, TransposeSolveMatchesDense) {
   util::Rng rng(29);
   linalg::Vector b(n);
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  const auto x = try_solve_resolvent(op, b, {}, nullptr, /*transpose=*/true);
+  const auto x = try_solve_resolvent(op, b, nullptr, /*transpose=*/true);
   ASSERT_TRUE(x.ok()) << x.status().message();
   const auto ref = linalg::try_solve(at, b);
   ASSERT_TRUE(ref.ok());

@@ -59,12 +59,10 @@ or metric values):
                  carries an explicit allow() justification.
 
 Layering contract (PR 8): modules under src/ form a DAG (DESIGN.md §13
-holds the normative table; MODULE_DEPS below mirrors it). Two documented
-mutually-visible groups are the only sanctioned back-edges: the {util, obs}
-foundation (locks need annotations, fault injection needs metrics) and the
-{markov, sparse, partition} solver ladder (the rungs fall back into each
-other). File-level cycles are banned everywhere, including inside those
-groups:
+holds the normative table; MODULE_DEPS below mirrors it). One documented
+mutually-visible pair is the only sanctioned back-edge: the {util, obs}
+foundation (locks need annotations, fault injection needs metrics).
+File-level cycles are banned everywhere, including inside that pair:
 
   layer-violation  a `#include "src/..."` edge the module DAG does not
                    permit. Fires at the include line, whether or not the
@@ -130,12 +128,12 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 # byte-identical at any --jobs count; its deadline/watchdog clock sites
 # carry explicit det-time suppressions (server.cpp documents why timing
 # may steer *scheduling* there but never response bytes).
-# src/sparse/ and src/partition/ are on the list because every descent
-# probe on a sparse route runs the resolvent ladder, so it is held to the
-# same bit-identical-for-any---jobs contract as the dense pipeline.
+# src/sparse/ is on the list because every descent probe on a sparse route
+# runs the resolvent ladder, so it is held to the same
+# bit-identical-for-any---jobs contract as the dense pipeline.
 DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
                      "src/markov/resolvent", "src/obs/", "src/serve/",
-                     "src/sparse/", "src/partition/")
+                     "src/sparse/")
 
 # Descent + recovery code must use the guarded Try* solver layer. The
 # resolvent solve sits on the descent hot path and owns the fallback from
@@ -143,20 +141,19 @@ DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
 # the same try_*-only contract. The serve layer's failure-isolation
 # promise (a numerical fault costs one structured error response, never the
 # process) only holds if it, too, never touches an unguarded solver. The
-# sparse/partition ladder exists to *fall back* on numerical failure
+# sparse ladder exists to *fall back* on numerical failure
 # (banded → BiCGSTAB → dense), which is only possible when every rung
 # reports through Status instead of throwing.
 RAW_SOLVER_SCOPE = ("src/descent/", "src/markov/resolvent", "src/serve/",
-                    "src/sparse/", "src/partition/")
+                    "src/sparse/")
 
 # Normative module layer DAG (mirrored in DESIGN.md §13): module -> the set
 # of modules its files may `#include "src/<module>/..."` from. Self-edges
-# are always allowed and not listed. Two mutually-visible groups are
+# are always allowed and not listed. One mutually-visible pair is
 # deliberate: {util, obs} (util's lock wrappers are what obs locks with;
-# util's fault injection reports through obs metrics) and
-# {markov, sparse, partition} (the solver ladder's rungs fall back into each
-# other). Mutual *module* visibility never licenses a file-level include
-# cycle — layer-cycle checks those separately.
+# util's fault injection reports through obs metrics). Mutual *module*
+# visibility never licenses a file-level include cycle — layer-cycle checks
+# those separately.
 MODULE_DEPS = {
     "util": {"obs"},
     "obs": {"util"},
@@ -164,10 +161,8 @@ MODULE_DEPS = {
     "geometry": {"util"},
     "runtime": {"obs", "util"},
     "sensing": {"geometry", "linalg", "util"},
-    "sparse": {"linalg", "markov", "partition", "util"},
-    "markov": {"linalg", "obs", "partition", "sparse", "util"},
-    "partition": {"geometry", "linalg", "markov", "obs", "runtime", "sparse",
-                  "util"},
+    "sparse": {"linalg", "util"},
+    "markov": {"linalg", "obs", "sparse", "util"},
     "cost": {"linalg", "markov", "obs", "sensing", "util"},
     "descent": {"cost", "linalg", "markov", "obs", "runtime", "util"},
     "sim": {"markov", "runtime", "sensing", "util"},
