@@ -3,14 +3,21 @@
 // 2·spacing, ~13 neighbours per PoI), runs the full chain analysis
 // (markov::try_analyze_chain: π, Z and R) pinned to the sparse ladder and —
 // up to the dense cap — pinned to the dense LU, and reports the full-solve
-// speedup. Writes BENCH_sparse_scaling.json (to MOCOS_BENCH_CSV_DIR when
-// set, else the working directory).
+// speedup. It also times what one line-search probe of a sparse descent
+// does under `sparse.resolvent`: a π-only analysis
+// (markov::try_resolvent_analysis at kStationary) on the sparse ladder,
+// the median of several runs, which is the time the city_1024 end-to-end
+// workload spends per probe. Beside the RCM bandwidth b it reports the
+// banded LU's envelope, the cells of U the elimination and the solves
+// visit (about n·b for the full band). Writes BENCH_sparse_scaling.json
+// (to MOCOS_BENCH_CSV_DIR when set, else the working directory).
 //
 // Correctness is part of what is measured: wherever the dense reference runs,
 // π must agree to 1e-8 (absolute) and R to 1e-8 (relative) or the bench fails
 // loudly — the acceptance gate of the sparse subsystem, measured on the same
 // chains the timing claims are made on.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,8 +28,10 @@
 #include "src/descent/initializers.hpp"
 #include "src/geometry/city_topology.hpp"
 #include "src/markov/fundamental.hpp"
+#include "src/markov/resolvent.hpp"
 #include "src/markov/solve_policy.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/sparse/banded_lu.hpp"
 #include "src/sparse/resolvent_ladder.hpp"
 
 namespace mocos::bench {
@@ -33,9 +42,11 @@ struct SizePoint {
   std::size_t nnz = 0;
   double density = 0.0;
   std::size_t bandwidth = 0;
+  std::size_t envelope = 0;  // BandedResolventLu::envelope_size()
   bool used_banded = false;
   bool used_bicgstab = false;
   double sparse_seconds = 0.0;
+  double stationary_seconds = 0.0;  // median π-only sparse analysis
   double dense_seconds = 0.0;  // 0 when the dense reference was skipped
   double speedup = 0.0;        // dense/sparse, 0 when dense skipped
   double pi_gap = 0.0;         // max |π_sparse − π_dense|, 0 when skipped
@@ -76,12 +87,40 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   }
   pt.sparse_seconds = std::chrono::duration<double>(t1 - t0).count();
 
-  // The rung that served it, outside the timed region.
+  // A probe's work: the π-only analysis, each run on a fresh factorization
+  // as a probe at a new step is.
+  std::vector<double> probe_seconds;
+  for (std::size_t r = 0; r < scaled(15, 5); ++r) {
+    const auto s0 = std::chrono::steady_clock::now();
+    const auto probe = [&] {
+      obs::ScopedMetrics install(&registry);
+      return markov::try_resolvent_analysis(p, markov::SolvePolicy::kSparse,
+                                            markov::AnalysisLevel::kStationary);
+    }();
+    const auto s1 = std::chrono::steady_clock::now();
+    if (!probe.ok() || !probe->sparse ||
+        registry.counter("markov.sparse.fallbacks").value() != 0) {
+      std::cerr << "sparse_scaling: the pi-only sparse analysis failed or "
+                << "fell back at M=" << m << "\n";
+      std::exit(1);
+    }
+    probe_seconds.push_back(std::chrono::duration<double>(s1 - s0).count());
+  }
+  std::sort(probe_seconds.begin(), probe_seconds.end());
+  pt.stationary_seconds = probe_seconds[probe_seconds.size() / 2];
+
+  // The rung that served it and its envelope, outside the timed regions.
+  // c is uniform, so it reads the same in band order.
   const linalg::Vector c(m, 1.0 / static_cast<double>(m));
   pt.used_banded =
       sparse::SparseResolvent::try_factor(sp, c).value().banded();
   pt.used_bicgstab = !pt.used_banded;
-  pt.bandwidth = sp.pattern().band_ordering().bandwidth;
+  const linalg::BandOrdering& order = sp.pattern().band_ordering();
+  pt.bandwidth = order.bandwidth;
+  pt.envelope = sparse::BandedResolventLu::try_factor(sp, c, order.bandwidth,
+                                                      order.position)
+                    .value()
+                    .envelope_size();
 
   if (!run_dense) return pt;
 
@@ -138,10 +177,13 @@ void write_json(const std::vector<SizePoint>& points) {
     out << "    {\"m\": " << pt.m << ", \"nnz\": " << pt.nnz
         << ", \"density\": ";
     num(pt.density);
-    out << ", \"bandwidth\": " << pt.bandwidth << ", \"used_banded\": "
+    out << ", \"bandwidth\": " << pt.bandwidth << ", \"envelope\": "
+        << pt.envelope << ", \"used_banded\": "
         << (pt.used_banded ? "true" : "false") << ", \"used_bicgstab\": "
         << (pt.used_bicgstab ? "true" : "false") << ", \"sparse_seconds\": ";
     num(pt.sparse_seconds);
+    out << ", \"stationary_seconds\": ";
+    num(pt.stationary_seconds);
     out << ", \"dense_seconds\": ";
     num(pt.dense_seconds);
     out << ", \"speedup\": ";
@@ -166,13 +208,14 @@ int run() {
   const std::size_t dense_cap = scaled(1024, 256);
 
   std::vector<SizePoint> points;
-  util::Table t({"M", "nnz", "band", "sparse s", "dense s", "speedup",
-                 "pi gap", "R rel gap"});
+  util::Table t({"M", "nnz", "band", "envelope", "pi-only ms", "sparse s",
+                 "dense s", "speedup", "pi gap", "R rel gap"});
   for (std::size_t m : sizes) {
     points.push_back(run_size(m, m <= dense_cap));
     const SizePoint& pt = points.back();
     t.add_row({std::to_string(pt.m), std::to_string(pt.nnz),
-               std::to_string(pt.bandwidth),
+               std::to_string(pt.bandwidth), std::to_string(pt.envelope),
+               util::fmt(1e3 * pt.stationary_seconds, 3),
                util::fmt(pt.sparse_seconds, 4),
                pt.dense_seconds > 0.0 ? util::fmt(pt.dense_seconds, 4) : "-",
                pt.speedup > 0.0 ? util::fmt(pt.speedup, 2) : "-",

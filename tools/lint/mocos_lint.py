@@ -66,7 +66,8 @@ File-level cycles are banned everywhere, including inside that pair:
 
   layer-violation  a `#include "src/..."` edge the module DAG does not
                    permit. Fires at the include line, whether or not the
-                   target file exists.
+                   target file exists. A module with no row in the table
+                   may include no other module.
   layer-cycle      file-level strongly-connected include component. Every
                    include edge inside the cycle is reported.
 
@@ -605,8 +606,8 @@ def project_pass(scanned_edges, root, violations):
             dst_mod = module_of(target)
             if dst_mod is None or dst_mod == src_mod:
                 continue
-            allowed = MODULE_DEPS.get(src_mod)
-            if allowed is not None and dst_mod not in allowed and \
+            allowed = MODULE_DEPS.get(src_mod, set())
+            if dst_mod not in allowed and \
                     "layer-violation" not in suppressed:
                 violations.append(Violation(
                     rel, lineno, "layer-violation",
